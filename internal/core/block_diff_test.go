@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"smallbandwidth/internal/congest"
 	"smallbandwidth/internal/graph"
 )
 
@@ -95,31 +96,119 @@ func itoa(n int) string {
 
 // TestPhaseBlockWorkersSweep runs the per-node batched path (noBulk,
 // so the D tree aggregations really cross the delivery shards) and the
-// bulk path at several worker counts on a multi-component graph and
-// pins every result against the single-worker reference path — the
-// batched evaluation must be scheduling-independent like everything
-// else in the engine.
+// bulk path at several worker counts and pins every result against the
+// single-worker reference path — the batched evaluation must be
+// scheduling-independent like everything else in the engine. The
+// 80-node GNP input is under the 256-node floor, so its hubs stay
+// inline; the 600-node regular graph is one component past it, so its
+// hub fans each seed bit out over two work bands, cut at equal
+// owned-edge counts far from equal slot counts.
 func TestPhaseBlockWorkersSweep(t *testing.T) {
-	g := graph.GNP(80, 0.08, 17)
-	inst := graph.DeltaPlusOneInstance(g)
-	ref, err := ListColorCONGEST(inst, Options{TrackPotentials: true, refEval: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, noBulk := range []bool{false, true} {
-			opts := Options{TrackPotentials: true, Workers: workers, noBulk: noBulk}
-			got, err := ListColorCONGEST(inst, opts)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp80", graph.GNP(80, 0.08, 17)},
+		{"regular600", graph.MustRandomRegular(600, 8, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := graph.DeltaPlusOneInstance(tc.g)
+			ref, err := ListColorCONGEST(inst, Options{TrackPotentials: true, refEval: true, Workers: 1})
 			if err != nil {
-				t.Fatalf("workers=%d noBulk=%v: %v", workers, noBulk, err)
+				t.Fatal(err)
 			}
-			name := "bulk"
-			if noBulk {
-				name = "noBulk"
+			for _, workers := range []int{1, 2, 4} {
+				for _, noBulk := range []bool{false, true} {
+					opts := Options{TrackPotentials: true, Workers: workers, noBulk: noBulk}
+					got, err := ListColorCONGEST(inst, opts)
+					if err != nil {
+						t.Fatalf("workers=%d noBulk=%v: %v", workers, noBulk, err)
+					}
+					name := "bulk"
+					if noBulk {
+						name = "noBulk"
+					}
+					compareRuns(t, name+"/workers="+itoa(workers), ref, got)
+				}
 			}
-			compareRuns(t, name+"/workers="+itoa(workers), ref, got)
-		}
+		})
 	}
+	if n := 600; congest.DeliveryShards(n, 2) < 2 {
+		t.Errorf("a %d-node component no longer cuts two hub bands at Workers=2; pick a larger input", n)
+	}
+}
+
+// TestHubBandsBalanceWork pins cutBands: bands are contiguous, cover
+// every slot, and each carries within one slot's work of an equal
+// share, where a slot's work is its owned edges plus one for its own
+// marginal when a neighbor reads it, and a dead slot's is zero.
+// Owned-edge counts fall with the slot index, as they do when edges
+// belong to their smaller endpoint, so an equal-slot cut would be far
+// off.
+func TestHubBandsBalanceWork(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		owned []int // owned edges per slot of a read node; −1 marks a dead slot
+		bands int
+	}{
+		{"falling", []int{14, 12, 11, 9, 8, 6, 5, 3, 2, 0, 0, 0}, 2},
+		{"falling4", []int{30, 25, 20, 16, 12, 9, 6, 4, 2, 1, 0, 0, 0, 0, 0, 0}, 4},
+		{"dead", []int{-1, 9, -1, 4, 4, -1, 0, 0}, 3},
+		{"allDead", []int{-1, -1, -1}, 2},
+		{"moreBandsThanSlots", []int{3, 1, 0}, 5},
+		{"oneBand", []int{5, 4, 0}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newPhaseHub(len(tc.owned), nil, tc.bands)
+			total, maxWork := 0, 0
+			for si, k := range tc.owned {
+				ns := &nodeState{alive: k >= 0, margRead: k >= 0}
+				if k > 0 {
+					ns.ownedIdx = make([]int32, k)
+				}
+				h.slots[si].ns = ns
+				total += ns.bandWork()
+				maxWork = max(maxWork, ns.bandWork())
+			}
+			h.cutBands()
+			if h.cut[0] != 0 || h.cut[tc.bands] != len(tc.owned) {
+				t.Fatalf("bands cover [%d, %d), want [0, %d)", h.cut[0], h.cut[tc.bands], len(tc.owned))
+			}
+			for b := 0; b < tc.bands; b++ {
+				if h.cut[b] > h.cut[b+1] {
+					t.Fatalf("band %d is [%d, %d)", b, h.cut[b], h.cut[b+1])
+				}
+				work := 0
+				for si := h.cut[b]; si < h.cut[b+1]; si++ {
+					work += h.slots[si].ns.bandWork()
+				}
+				if d := work*tc.bands - total; d > maxWork*tc.bands || -d > maxWork*tc.bands {
+					t.Errorf("band %d carries %d of %d work units over %d bands (slot work ≤ %d); cuts %v",
+						b, work, total, tc.bands, maxWork, h.cut)
+				}
+			}
+		})
+	}
+}
+
+// TestHubBandPanicReRaised: a panic on a band goroutine must surface on
+// the coordinator, the node goroutine whose panics the engine turns
+// into a run error, and only after every band has finished. Slot 1's
+// node claims sheets it does not have, so evaluating band 1 panics.
+func TestHubBandPanicReRaised(t *testing.T) {
+	h := newPhaseHub(2, nil, 2)
+	h.slots[0].ns = &nodeState{}
+	h.slots[1].ns = &nodeState{alive: true, margRead: true, sheetOK: true}
+	h.cut = []int{0, 1, 2}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("band 1's panic was not re-raised on the coordinator")
+		}
+		if h.panics[1] != nil {
+			t.Error("re-raised panic left recorded")
+		}
+	}()
+	h.forBands(passMarginals)
 }
 
 // FuzzPhaseBlock feeds arbitrary small instances through the default

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"smallbandwidth/internal/congest"
@@ -25,13 +26,25 @@ import (
 // exact round span (SpinUntil, which the engine fast-forwards in one
 // jump when a whole domain sleeps).
 //
+// Within one seed bit every node's edge terms are independent — only
+// their aggregation has an order — so the hub fans each bit out over
+// work bands, contiguous slot ranges cut once per phase at equal work
+// (cutBands), each band on its own split of the shared basis. Pass 1:
+// every slot whose marginal an owned edge reads writes its own coin's
+// marginal pair into the per-bit table marg. Pass 2: every slot
+// evaluates its owned edges, reading each neighbor's marginal from the
+// table by slot. The tree-order fold, the FixBit and the sheet folds
+// stay sequential on the coordinator.
+//
 // Bit-identity with the per-node loop (opts.noBulk) and the reference
 // path (opts.refEval) rests on three invariants, each pinned by the
 // differential suites:
 //
-//  1. Per-node evaluation is the same code: the hub calls the same
-//     evalPhaseBit the per-node loop calls, against a basis with the
-//     same fixed-bit history, so every (x0, x1) pair matches bitwise.
+//  1. Per-node evaluation is the same code: every band calls the same
+//     evalPhaseBit the per-node loop calls, against a split of a basis
+//     with the same fixed-bit history, and a marginal is the same exact
+//     dyadic whether read from the table or computed by the owner, so
+//     every (x0, x1) pair matches bitwise — whichever band computed it.
 //  2. The float fold replicates the converge: ConvergeSumLockstepTo
 //     folds, at each tree node, the node's own vector plus each child's
 //     finished accumulator in child arrival order — ascending subtree
@@ -60,12 +73,22 @@ type phaseHub struct {
 	// Coordinator-only state below; the registration counter orders
 	// every slot write before the coordinator's reads, and the segment
 	// wake-up orders the coordinator's writes before the slots' reads.
+	// The band goroutines of a pass touch only their own slots' acc and
+	// marg entries, their own sbs and panics entries, and read the rest;
+	// the go statements and wg.Wait order them against the coordinator.
 	slots []hubSlot
 	order []int32 // fold order: slot indexes, ascending (SubtreeHeight, slot)
 	acc   [][2]float64
+	marg  []gf2.ProbPair // per-bit table: slot → own-coin marginal pair
 	basis gf2.Basis
 	built bool
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
+
+	bit    int               // the seed bit the bands are evaluating
+	cut    []int             // band b covers slots [cut[b], cut[b+1])
+	sbs    []*gf2.SplitBasis // band b's split of basis on bit; nil when unsplittable
+	panics []any             // a band's recovered panic, re-raised by the coordinator
+	wg     sync.WaitGroup
 }
 
 type hubSlot struct {
@@ -74,12 +97,18 @@ type hubSlot struct {
 	kids []int32 // child slot indexes, ascending (SubtreeHeight, ID)
 }
 
-func newPhaseHub(size int, p *Params) *phaseHub {
+// newPhaseHub sizes a hub for a component of size nodes, fanning its
+// seed bits out over bands ≥ 1 work bands.
+func newPhaseHub(size int, p *Params, bands int) *phaseHub {
 	return &phaseHub{
-		size:  size,
-		p:     p,
-		slots: make([]hubSlot, size),
-		acc:   make([][2]float64, size),
+		size:   size,
+		p:      p,
+		slots:  make([]hubSlot, size),
+		acc:    make([][2]float64, size),
+		marg:   make([]gf2.ProbPair, size),
+		cut:    make([]int, bands+1),
+		sbs:    make([]*gf2.SplitBasis, bands),
+		panics: make([]any, bands),
 	}
 }
 
@@ -120,26 +149,28 @@ func (h *phaseHub) build() {
 }
 
 // runSeedBits is the central replica of the distributed seed-bit loop:
-// one Split per bit serves every slot, the tree-ordered fold replaces
-// the aggregation wave, and every slot's sheets and the shared basis
-// advance in lockstep with the chosen bits.
+// per bit, the bands' two passes evaluate every slot, the tree-ordered
+// fold replaces the aggregation wave, and every slot's sheets and the
+// shared basis advance in lockstep with the chosen bit.
 func (h *phaseHub) runSeedBits() gf2.Vec128 {
 	basis := &h.basis
 	basis.Reset()
+	h.cutBands()
 	var seed gf2.Vec128
-	var prefix uint64
 	for j := 0; j < h.p.D; j++ {
-		sb, split := basis.Split(j)
-		for si := range h.slots {
-			ns := h.slots[si].ns
-			var x0, x1 float64
-			if ns.alive {
-				x0, x1 = ns.evalPhaseBit(j, basis, sb, split, prefix)
-			}
-			h.acc[si] = [2]float64{x0, x1}
+		h.bit = j
+		split := false
+		for b := range h.sbs {
+			h.sbs[b], split = basis.Split(j)
 		}
 		if split {
-			sb.Release()
+			h.forBands(passMarginals)
+		}
+		h.forBands(passEdges)
+		if split {
+			for _, sb := range h.sbs {
+				sb.Release()
+			}
 		}
 		for _, si := range h.order {
 			a := &h.acc[si]
@@ -158,11 +189,93 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 			h.slots[si].ns.foldSheets(j, rj)
 		}
 		seed = seed.WithBit(j, rj)
-		if rj && j < 64 {
-			prefix |= uint64(1) << j
-		}
 	}
 	return seed
+}
+
+// cutBands recuts the slots into len(sbs) contiguous bands of about
+// equal work for this phase. A slot's work is its owned edges plus its
+// own marginal when a neighbor reads it. Edges belong to their smaller
+// endpoint, so low slots carry most of it: equal slot counts would hand
+// the first band about three quarters of a random regular graph's work.
+// The cut decides only which goroutine evaluates a slot, never a value.
+func (h *phaseHub) cutBands() {
+	nb := len(h.sbs)
+	total := 0
+	for si := range h.slots {
+		total += h.slots[si].ns.bandWork()
+	}
+	b, done := 1, 0
+	for si := range h.slots {
+		for b < nb && done*nb >= b*total {
+			h.cut[b] = si
+			b++
+		}
+		done += h.slots[si].ns.bandWork()
+	}
+	for ; b <= nb; b++ {
+		h.cut[b] = h.size
+	}
+}
+
+// bandWork is this node's share of a seed bit's hub work this phase.
+func (ns *nodeState) bandWork() int {
+	if ns.margRead {
+		return len(ns.ownedIdx) + 1
+	}
+	return len(ns.ownedIdx)
+}
+
+// The two per-bit passes of a band.
+const (
+	passMarginals = iota // each read slot's own marginal into marg
+	passEdges            // each slot's owned-edge sums into acc
+)
+
+// forBands runs one pass over every band — band 0 on the coordinator,
+// the others on goroutines of their own — and returns when all have
+// finished. A band's panic is re-raised here, on the node goroutine the
+// engine recovers from, so a fault fails the run instead of the process
+// and no band outlives the pass.
+func (h *phaseHub) forBands(pass int) {
+	h.wg.Add(len(h.sbs))
+	for b := 1; b < len(h.sbs); b++ {
+		go h.band(pass, b)
+	}
+	h.band(pass, 0)
+	h.wg.Wait()
+	for b, p := range h.panics {
+		if p != nil {
+			h.panics[b] = nil
+			panic(p)
+		}
+	}
+}
+
+// band runs one pass over band b's slots, recording a panic for
+// forBands.
+func (h *phaseHub) band(pass, b int) {
+	defer h.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			h.panics[b] = p
+		}
+	}()
+	sb := h.sbs[b]
+	for si := h.cut[b]; si < h.cut[b+1]; si++ {
+		ns := h.slots[si].ns
+		if pass == passMarginals {
+			if ns.margRead {
+				h.marg[si] = ns.ownMarginal(sb)
+			}
+			continue
+		}
+		var x0, x1 float64
+		if ns.alive {
+			x0, x1 = ns.evalPhaseBit(h.bit, &h.basis, sb, sb != nil, h.marg)
+		}
+		h.acc[si] = [2]float64{x0, x1}
+	}
 }
 
 // runPhaseBulk is the per-node entry to the hub for one phase: register

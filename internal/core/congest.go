@@ -411,13 +411,16 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 	}
 
 	// One phase hub per component: the bulk seed-bit aggregation seam
-	// (bulk.go). opts.noBulk keeps the per-node converge loop instead
-	// (the differential tests pin the two paths bit-identical).
+	// (bulk.go), fanned out over as many work bands as the engine would
+	// cut delivery shards for the component alone. opts.noBulk keeps the
+	// per-node converge loop instead (the differential tests pin the two
+	// paths bit-identical).
 	var hubs map[int]*phaseHub
 	if !opts.noBulk {
 		hubs = make(map[int]*phaseHub, len(comps))
 		for _, comp := range comps {
-			hubs[comp[0]] = newPhaseHub(len(comp), params[comp[0]])
+			bands := congest.DeliveryShards(len(comp), opts.Workers)
+			hubs[comp[0]] = newPhaseHub(len(comp), params[comp[0]], bands)
 		}
 	}
 
@@ -559,7 +562,7 @@ type nodeState struct {
 	phaseBasis gf2.Basis  // reused seed-bit basis (one Reset per phase)
 	convVec    [2]float64 // reused aggregation input vector
 	ownedIdx   []int32    // neighbor indexes of owned conflict edges (rebuilt per phase)
-	memoStripe int        // this node's marginal-memo stripe (margStripeFor)
+	margRead   bool       // some conflict neighbor owns an edge into this node (this phase)
 
 	// Bulk-aggregation seam (bulk.go): the component's phase hub and the
 	// shared node→rank table its fold schedule is built from. nil/unset
@@ -583,11 +586,9 @@ type nodeState struct {
 	sheets   []*gf2.FormSheet
 	sheetN   int
 	sheetOK  bool
-	edgeBlk  []edgeBlock  // per owned edge: sheet index and lane groups
-	pvBuf    [][2]float64 // per owned edge: neighbor marginal pair this bit
-	pendBuf  []int32      // owned-edge positions whose marginal missed the memo
-	pairBuf  []gf2.ProbPair
-	blockReq []gf2.BlockCoin
+	edgeBlk  []edgeBlock     // per owned edge: sheet index and lane groups
+	pvBuf    []gf2.ProbPair  // per-node path: per owned edge, neighbor marginal pair this bit
+	blockReq []gf2.BlockCoin // per-node path: one sheet's neighbor coins
 
 	// msgArena holds the reusable outgoing payload buffers, 4 words (the
 	// bandwidth cap) per neighbor, two arenas alternating by round
@@ -602,9 +603,13 @@ type nodeState struct {
 
 // edgeBlock locates one owned conflict edge's coins on this node's
 // residual sheets: both endpoints' form groups live on the same sheet,
-// so one gather serves the marginal and the joint walks.
+// so one gather serves the marginal and the joint walks. mv indexes the
+// neighbor's marginal pair in the table evalPhaseBit reads: the
+// neighbor's slot in the hub's per-bit table, or the edge's own
+// position in pvBuf on the per-node path.
 type edgeBlock struct {
 	sheet  int32
+	mv     int32
 	cu, cv gf2.BlockCoin
 }
 
@@ -741,7 +746,6 @@ func (ns *nodeState) init(inst *graph.Instance, ar *runArenas) {
 	hi := lo + inst.G.Degree(v)
 	ns.alive = true
 	ns.coloredAt = -1
-	ns.memoStripe = margStripeFor(v, inst.G.N())
 	ns.aliveNbr = ar.aliveNbr[lo:hi:hi]
 	for i := range ns.aliveNbr {
 		ns.aliveNbr[i] = true
@@ -1038,12 +1042,18 @@ func (ns *nodeState) runPhase(iter, l int) {
 	// Owned conflict edges (each edge is owned by its smaller endpoint);
 	// the conflict set is fixed for the whole phase, so the seed-bit loop
 	// iterates this list instead of rescanning the full neighbor set D
-	// times.
+	// times. A conflict neighbor with a smaller ID owns the shared edge
+	// and reads this node's marginal.
 	ns.ownedIdx = ns.ownedIdx[:0]
+	ns.margRead = false
 	if ns.alive {
 		for i, w := range ns.ctx.Neighbors() {
-			if ns.conflict[i] && int(w) > ns.ctx.ID() {
+			switch {
+			case !ns.conflict[i]:
+			case int(w) > ns.ctx.ID():
 				ns.ownedIdx = append(ns.ownedIdx, int32(i))
+			default:
+				ns.margRead = true
 			}
 		}
 	}
@@ -1068,7 +1078,6 @@ func (ns *nodeState) runPhase(iter, l int) {
 	basis := &ns.phaseBasis
 	basis.Reset()
 	var seed gf2.Vec128
-	var prefix uint64
 	for j := 0; j < ns.p.D; j++ {
 		var x0, x1 float64
 		if ns.alive {
@@ -1078,7 +1087,7 @@ func (ns *nodeState) runPhase(iter, l int) {
 			// clone-and-FixBit fallback keeps the evaluation total if that
 			// ever stopped holding.
 			sb, split := basis.Split(j)
-			x0, x1 = ns.evalPhaseBit(j, basis, sb, split, prefix)
+			x0, x1 = ns.evalPhaseBit(j, basis, sb, split, nil)
 			if split {
 				sb.Release()
 			}
@@ -1092,9 +1101,6 @@ func (ns *nodeState) runPhase(iter, l int) {
 		}
 		ns.foldSheets(j, rj)
 		seed = seed.WithBit(j, rj)
-		if rj && j < 64 {
-			prefix |= uint64(1) << j
-		}
 	}
 
 	ns.finishPhase(iter, l, bitPos, myCoin, seed)
@@ -1102,21 +1108,22 @@ func (ns *nodeState) runPhase(iter, l int) {
 
 // buildSheets lays this phase's owned-edge coin forms out on residual
 // sheets: each sheet carries this node's form group once plus as many
-// neighbor groups as fit, in owned-edge order, so a pending-marginal
-// batch is a contiguous run per sheet. Any group that cannot lie on a
-// sheet (wide masks, B > 32) clears sheetOK and the whole node falls
-// back to the scalar kernels — never a mixed layout, which keeps the
-// fallback decision identical across bits.
+// neighbor groups as fit, in owned-edge order, so one sheet's neighbor
+// coins are a contiguous run of owned edges. Any group that cannot lie
+// on a sheet (wide masks, B > 32) clears sheetOK and the whole node
+// falls back to the scalar kernels — never a mixed layout, which keeps
+// the fallback decision identical across bits.
 func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 	ns.sheetN = 0
 	ns.edgeBlk = ns.edgeBlk[:0]
-	// The batched path mirrors the memoable scalar path, so it shares
-	// its gate: the chosen prefix must fit one memo key word.
+	// Sheets are single-word and the block kernels split bits below 64
+	// only, so D ≤ 64 gates the layout.
 	ns.sheetOK = ns.p.D <= 64 && ns.alive && len(ns.ownedIdx) > 0
 	if !ns.sheetOK {
 		return
 	}
 	myForms := ns.ownForms()
+	nbrs := ns.ctx.Neighbors()
 	var cur *gf2.FormSheet
 	var cu gf2.BlockCoin
 	for _, i := range ns.ownedIdx {
@@ -1135,9 +1142,14 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 			ns.sheetOK, ns.sheetN = false, 0
 			return
 		}
+		mv := int32(len(ns.edgeBlk))
+		if ns.hub != nil {
+			mv = int32(ns.rankOf[nbrs[i]])
+		}
 		cv := ns.nbrCoins[i]
 		ns.edgeBlk = append(ns.edgeBlk, edgeBlock{
 			sheet: int32(ns.sheetN - 1),
+			mv:    mv,
 			cu:    cu,
 			cv:    gf2.BlockCoin{Lane: lane, B: cv.Bits(), T: cv.Threshold()},
 		})
@@ -1145,11 +1157,12 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 	for k := 0; k < ns.sheetN; k++ {
 		ns.sheets[k].Seal()
 	}
+	if ns.hub != nil {
+		return // the hub's per-bit table supplies the neighbor marginals
+	}
 	n := len(ns.ownedIdx)
 	if cap(ns.pvBuf) < n {
-		ns.pvBuf = make([][2]float64, n)
-		ns.pendBuf = make([]int32, 0, n)
-		ns.pairBuf = make([]gf2.ProbPair, n)
+		ns.pvBuf = make([]gf2.ProbPair, n)
 		ns.blockReq = make([]gf2.BlockCoin, 0, n)
 	}
 	ns.pvBuf = ns.pvBuf[:n]
@@ -1169,6 +1182,7 @@ func (ns *nodeState) nextSheet() *gf2.FormSheet {
 // foldSheets folds the chosen value of seed bit j into every residual
 // sheet — the per-bit incremental update that lets bit j+1 start from
 // current residuals instead of re-reducing each form against the basis.
+//
 //sbw:allocfree phase-step kernel: per-seed-bit sheet fold, once per node per bit
 func (ns *nodeState) foldSheets(j int, rj bool) {
 	for k := 0; k < ns.sheetN; k++ {
@@ -1180,87 +1194,40 @@ func (ns *nodeState) foldSheets(j int, rj bool) {
 // conditional expectations of seed bit j — E[X | bit=0] and E[X | bit=1]
 // — accumulated in owned-edge order. sb/split is the caller's symbolic
 // conditioning of basis on bit j (the per-node loop splits its own
-// basis; the hub splits one shared basis per bit — the same pure
+// basis; each hub band splits the one shared basis — the same pure
 // function of the same fixed-bit history either way).
+//
+// marg is the hub's per-bit table of every slot's own-coin marginal
+// pair (ownMarginal), read by neighbor slot; nil on the per-node path,
+// which computes its neighbors' marginals on its own sheets instead.
+// Either way each value is the same exact dyadic.
 //
 // Three evaluation tiers, outermost first, each bit-identical to the
 // next (the differential and fuzz suites pin all of them against
-// runPhaseRef): the batched sheet path — memo probe per edge, one
-// block call per sheet for the band's pending marginal keys, then the
-// joint block kernel per edge; the scalar memoable path; and the
+// runPhaseRef): the batched sheet path — the joint block kernel per
+// edge against the neighbor's marginal; the scalar split path; and the
 // clone-and-FixBit fallback when the bit isn't free to split.
-func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, split bool, prefix uint64) (x0, x1 float64) {
+func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, split bool, marg []gf2.ProbPair) (x0, x1 float64) {
 	k1, k0 := ns.phK1, ns.phK0
-	myCoin := ns.phMyCoin
-	memoable := ns.p.D <= 64 // the chosen prefix must fit one memo key word
 	if split && ns.sheetOK {
-		mk3 := uint64(j) | uint64(ns.p.M)<<8 | uint64(ns.p.B)<<16
-		// Probe the memo for every owned edge's neighbor marginal;
-		// collect the misses.
-		pend := ns.pendBuf[:0]
-		for ei, i := range ns.ownedIdx {
-			pv0, pv1, ok := margLoad(ns.memoStripe, ns.nbrPsi[i], ns.nbrCoins[i].Threshold(), prefix, mk3)
-			if ok {
-				ns.pvBuf[ei] = [2]float64{pv0, pv1}
-			} else {
-				pend = append(pend, int32(ei))
-			}
-		}
-		ns.pendBuf = pend
-		// Batch-fill the pending keys, one block call per sheet (edges
-		// of one sheet are contiguous in owned order). The computed
-		// pairs also land in pvBuf directly: memo entries are evictable,
-		// so the values must not be re-probed.
-		for s := 0; s < len(pend); {
-			e := s
-			sh := ns.edgeBlk[pend[s]].sheet
-			reqs := ns.blockReq[:0]
-			for e < len(pend) && ns.edgeBlk[pend[e]].sheet == sh {
-				reqs = append(reqs, ns.edgeBlk[pend[e]].cv)
-				e++
-			}
-			out := ns.pairBuf[:len(reqs)]
-			sb.ProbOnePairBlock(ns.sheets[sh], reqs, out)
-			for k := s; k < e; k++ {
-				ei := pend[k]
-				i := ns.ownedIdx[ei]
-				pr := out[k-s]
-				margStore(ns.memoStripe, ns.nbrPsi[i], ns.nbrCoins[i].Threshold(), prefix, mk3, pr.P0, pr.P1)
-				ns.pvBuf[ei] = [2]float64{pr.P0, pr.P1}
-			}
-			s = e
+		if marg == nil {
+			marg = ns.neighborMarginals(sb)
 		}
 		// Joint probabilities and the Lemma 2.2 terms, in owned order —
 		// the same accumulation order as the scalar path.
 		for ei, i := range ns.ownedIdx {
 			eb := &ns.edgeBlk[ei]
-			pv0, pv1 := ns.pvBuf[ei][0], ns.pvBuf[ei][1]
-			p1u0, p110, p1u1, p111 := sb.EdgePairBlock(ns.sheets[eb.sheet], eb.cu, eb.cv, pv0, pv1)
+			pv := marg[eb.mv]
+			p1u0, p110, p1u1, p111 := sb.EdgePairBlock(ns.sheets[eb.sheet], eb.cu, eb.cv, pv.P0, pv.P1)
 			k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-			x0 += edgeCombine(p1u0, pv0, p110, k1, k0, k1v, k0v)
-			x1 += edgeCombine(p1u1, pv1, p111, k1, k0, k1v, k0v)
+			x0 += edgeCombine(p1u0, pv.P0, p110, k1, k0, k1v, k0v)
+			x1 += edgeCombine(p1u1, pv.P1, p111, k1, k0, k1v, k0v)
 		}
 		return x0, x1
 	}
+	myCoin := ns.phMyCoin
 	for _, i := range ns.ownedIdx {
 		k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-		if split && memoable {
-			// The neighbor's marginal is shared by every owner
-			// evaluating an edge into it at this seed bit; fetch it
-			// from the global memo of this pure function (the memo
-			// returns the bit-identical value a local walk computes).
-			cv := ns.nbrCoins[i]
-			mk3 := uint64(j) | uint64(ns.p.M)<<8 | uint64(ns.p.B)<<16
-			pv0, pv1, ok := margLoad(ns.memoStripe, ns.nbrPsi[i], cv.Threshold(), prefix, mk3)
-			if !ok {
-				pv0, pv1 = sb.ProbOnePair(cv)
-				margStore(ns.memoStripe, ns.nbrPsi[i], cv.Threshold(), prefix, mk3, pv0, pv1)
-			}
-			p1u0, p110, p1u1, p111 := sb.EdgePairGivenMarginal(myCoin, cv, pv0, pv1)
-			x0 += edgeCombine(p1u0, pv0, p110, k1, k0, k1v, k0v)
-			x1 += edgeCombine(p1u1, pv1, p111, k1, k0, k1v, k0v)
-			continue
-		}
 		if split {
 			e0, e1 := EdgeExpectationSplit(sb, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
 			x0 += e0
@@ -1279,6 +1246,39 @@ func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, s
 		x1 += EdgeExpectation(bs2, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
 	}
 	return x0, x1
+}
+
+// neighborMarginals fills pvBuf with every owned edge's neighbor
+// marginal pair under sb's split bit, computed on this node's own
+// sheets: one block call per sheet (a sheet's edges are contiguous in
+// owned order). The per-node path's stand-in for the hub's table.
+func (ns *nodeState) neighborMarginals(sb *gf2.SplitBasis) []gf2.ProbPair {
+	for s := 0; s < len(ns.edgeBlk); {
+		sh := ns.edgeBlk[s].sheet
+		reqs := ns.blockReq[:0]
+		e := s
+		for ; e < len(ns.edgeBlk) && ns.edgeBlk[e].sheet == sh; e++ {
+			reqs = append(reqs, ns.edgeBlk[e].cv)
+		}
+		sb.ProbOnePairBlock(ns.sheets[sh], reqs, ns.pvBuf[s:e])
+		s = e
+	}
+	return ns.pvBuf
+}
+
+// ownMarginal returns this node's own coin marginal under both
+// branches of sb's split bit: read off its first sheet (the own-coin
+// group heads every sheet), or walked by the scalar kernel when the
+// node has no sheets. The hub's table entry for this slot.
+func (ns *nodeState) ownMarginal(sb *gf2.SplitBasis) gf2.ProbPair {
+	if !ns.sheetOK {
+		p0, p1 := sb.ProbOnePair(ns.phMyCoin)
+		return gf2.ProbPair{P0: p0, P1: p1}
+	}
+	req := [1]gf2.BlockCoin{ns.edgeBlk[0].cu}
+	var out [1]gf2.ProbPair
+	sb.ProbOnePairBlock(ns.sheets[0], req[:], out[:])
+	return out[0]
 }
 
 // finishPhase extends prefixes and prunes the conflict graph (1 round);

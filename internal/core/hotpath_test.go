@@ -10,7 +10,7 @@ import (
 
 // TestPhasePotentialsMatchReference runs the full Theorem 1.1 pipeline
 // twice on seeded graphs — once through the optimized hot path (cached
-// coin forms, split-basis dual-β evaluation, marginal memo, reused
+// coin forms, split-basis dual-β evaluation, per-bit marginal table, reused
 // buffers) and once through the verbatim pre-optimization evaluation
 // (runPhaseRef) — and requires bit-identical results everywhere the
 // derandomization is observable: colors, stats, iteration telemetry,
@@ -131,52 +131,5 @@ func TestPhaseStepAllocFree(t *testing.T) {
 	step() // warm the pools
 	if n := testing.AllocsPerRun(50, step); n > 0 {
 		t.Fatalf("steady-state phase step allocates %v objects per run, want 0", n)
-	}
-}
-
-// TestMarginalMemoPinsPureValues: the memo returns exactly what a fresh
-// computation produces (purity), including across differently ordered
-// accesses.
-func TestMarginalMemoPinsPureValues(t *testing.T) {
-	fam := gf2.MustFamily(8, 2)
-	forms := fam.OutputForms(13, 6)
-	coin, err := gf2.NewCoinFromForms(forms, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis := gf2.NewBasis()
-	basis.FixBit(0, true)
-	sb, ok := basis.Split(1)
-	if !ok {
-		t.Fatal("split refused")
-	}
-	defer sb.Release()
-	p0, p1 := sb.ProbOnePair(coin)
-	const k3 = uint64(1) | 8<<8 | 6<<16
-	margStore(0, 13, coin.Threshold(), 1, k3, p0, p1)
-	g0, g1, hit := margLoad(0, 13, coin.Threshold(), 1, k3)
-	if !hit {
-		t.Fatal("stored entry not found")
-	}
-	if math.Float64bits(g0) != math.Float64bits(p0) || math.Float64bits(g1) != math.Float64bits(p1) {
-		t.Fatalf("memo returned (%v,%v), stored (%v,%v)", g0, g1, p0, p1)
-	}
-	if _, _, hit := margLoad(0, 14, coin.Threshold(), 1, k3); hit {
-		t.Fatal("memo hit on a different key")
-	}
-	// Stripes are disjoint tables: the same key misses in another stripe
-	// (owners there recompute the same pure value instead of sharing).
-	if _, _, hit := margLoad(1, 13, coin.Threshold(), 1, k3); hit {
-		t.Fatal("memo hit across stripes")
-	}
-	// Stripe mapping: contiguous bands covering [0, n), clamped in range.
-	if margStripeFor(0, 1<<20) != 0 || margStripeFor(1<<20-1, 1<<20) != margStripes-1 {
-		t.Fatal("stripe band endpoints wrong")
-	}
-	for v := 0; v < 1000; v++ {
-		s := margStripeFor(v*1013, 1<<20)
-		if s < 0 || s >= margStripes {
-			t.Fatalf("stripe %d out of range", s)
-		}
 	}
 }

@@ -42,30 +42,6 @@ func TestMaxWordsTooSmallFails(t *testing.T) {
 	}
 }
 
-// TestMemoKeyFieldGuard pins the marginal-memo key-packing guard: the
-// key word assigns M and B consecutive 8-bit fields, so Params
-// construction must reject any value that would overflow its field and
-// silently alias another configuration's memo entries. Every currently
-// reachable parameterization fits (M ≤ 63 is enforced first), so the
-// guard is exercised directly.
-func TestMemoKeyFieldGuard(t *testing.T) {
-	for _, c := range []struct {
-		m, b int
-		ok   bool
-	}{
-		{0, 0, true}, {63, 61, true}, {255, 255, true},
-		{256, 8, false}, {8, 256, false}, {-1, 8, false}, {8, -1, false},
-	} {
-		if got := memoKeyFieldsOK(c.m, c.b); got != c.ok {
-			t.Errorf("memoKeyFieldsOK(%d, %d) = %v, want %v", c.m, c.b, got, c.ok)
-		}
-	}
-	// The guard sits on every Params construction path.
-	if _, err := computeParamsFor(10, 4, 6, Options{}); err != nil {
-		t.Errorf("reachable parameterization rejected: %v", err)
-	}
-}
-
 // TestWideColorSpace uses C much larger than Δ+1 (more prefix phases).
 func TestWideColorSpace(t *testing.T) {
 	g := graph.Cycle(10)

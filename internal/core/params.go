@@ -11,9 +11,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"smallbandwidth/internal/gf2"
 	"smallbandwidth/internal/graph"
@@ -64,10 +62,12 @@ type Options struct {
 	MaxWords int
 	// MaxRounds overrides the CONGEST round cap (0 = default).
 	MaxRounds int
-	// Workers bounds the simulator's delivery/compute parallelism: 0
-	// sizes the engine's worker pool from GOMAXPROCS, n > 0 caps it at n
-	// shards. Colors, Stats, and telemetry are bit-identical for every
-	// setting; the engine rejects negative or absurd values.
+	// Workers bounds the simulator's parallelism: the engine's delivery
+	// shards and each component's phase-hub work bands (bulk.go). 0 sizes
+	// both from GOMAXPROCS, n > 0 caps both at n; either way a shard or
+	// band covers at least 256 nodes. Colors, Stats, and telemetry are
+	// bit-identical for every setting; the engine rejects negative or
+	// absurd values.
 	Workers int
 
 	// refEval routes every derandomization phase through the
@@ -148,14 +148,6 @@ func computeParamsFor(n, delta int, c uint32, opts Options) (*Params, error) {
 	if p.B+bits.Len32(c) > 62 {
 		return nil, fmt.Errorf("core: B=%d with C=%d would overflow coin thresholds", p.B, c)
 	}
-	// The marginal-memo key packs (j, M, B) into consecutive 8-bit
-	// fields; a parameter outside its field would silently alias another
-	// configuration's entries. Unreachable with the bounds above, but
-	// guarded explicitly so a future parameter change cannot corrupt the
-	// memo by overflow.
-	if !memoKeyFieldsOK(p.M, p.B) {
-		return nil, fmt.Errorf("core: M=%d or B=%d exceeds the memo key's 8-bit fields", p.M, p.B)
-	}
 	p.D = 2 * p.M
 	fam, err := gf2.NewFamily(p.M, 2)
 	if err != nil {
@@ -172,18 +164,12 @@ func computeParamsFor(n, delta int, c uint32, opts Options) (*Params, error) {
 	return p, nil
 }
 
-// memoKeyFieldsOK reports whether M and B each fit the 8-bit field the
-// marginal-memo key word assigns them (seed bit j shares the word and is
-// bounded by D ≤ 64 on every memoable path).
-func memoKeyFieldsOK(m, b int) bool {
-	return m >= 0 && m <= 255 && b >= 0 && b <= 255
-}
-
 // EdgeExpectation returns E[X_e | basis] for a conflict edge, where
 // X_e = 1{e survives}·(1/|L_ℓ(u)|+1/|L_ℓ(v)|) exactly as in Lemma 2.2:
 // the edge survives iff both endpoints extend their prefix with the same
 // bit, and the surviving list sizes are k1 (bit 1) or k0 (bit 0).
 // Exported for the hot-path microbenchmarks (BenchmarkEdgeExpectation).
+//
 //sbw:allocfree Theorem 1.1 phase-step kernel: per-edge conditional expectation
 func EdgeExpectation(bs *gf2.Basis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) float64 {
 	p1u, p11 := gf2.ProbOneAndBothOne(bs, cu, cv)
@@ -196,6 +182,7 @@ func EdgeExpectation(bs *gf2.Basis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) flo
 // restructuring of the Lemma 2.6 inner loop): e0 conditions on bit=0,
 // e1 on bit=1. Bit-identical to two EdgeExpectation calls on bases with
 // the bit fixed.
+//
 //sbw:allocfree Theorem 1.1 phase-step kernel: both branches of one seed bit, the TestPhaseStepAllocFree loop body
 func EdgeExpectationSplit(sb *gf2.SplitBasis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) (e0, e1 float64) {
 	p1u0, p1v0, p110, p1u1, p1v1, p111 := sb.EdgePair(cu, cv)
@@ -203,97 +190,10 @@ func EdgeExpectationSplit(sb *gf2.SplitBasis, cu, cv gf2.Coin, k1u, k0u, k1v, k0
 		edgeCombine(p1u1, p1v1, p111, k1u, k0u, k1v, k0v)
 }
 
-// margMemo is a global memo of neighbor-marginal probabilities: the
-// value Pr[C_w = 1 | seed bits 0..j−1 = prefix, bit j = β] is a pure
-// function of (M, B, ψ_w, threshold, j, prefix) — the field and family
-// are deterministic per M — and the conditioning prefix is *global*
-// (every node fixes the same seed bits), so all ~Δ owners evaluating
-// edges into w at seed bit j need the same pair of numbers. The table
-// is a fixed-size direct-mapped cache of seqlock slots: entries are
-// written and read with per-word atomics and validated by the sequence
-// number, collisions simply overwrite, and a lost or stale entry only
-// costs a recomputation of the same bit-identical value.
-//
-// The table is striped: each engine-shard-sized band of owner nodes
-// hashes into its own slot array, and a slot is exactly one cache line,
-// so concurrent phase-loop workers never write-share memo lines. Owners
-// in different stripes recompute instead of sharing a neighbor's entry —
-// the values are pure, so striping changes cache behavior only, never a
-// probability bit.
-const (
-	margStripes     = 8
-	margStripeSlots = 1 << 13
-)
-
-// margSlot is one seqlock memo entry: seq + 4 key words + 2 value words
-// = 56 bytes, padded to a full 64-byte cache line so neighboring slots
-// (and neighboring stripes) never false-share.
-type margSlot struct {
-	seq atomic.Uint64
-	k   [4]atomic.Uint64
-	v   [2]atomic.Uint64
-	_   [1]uint64
-}
-
-var margTab [margStripes][margStripeSlots]margSlot
-
-// margStripeFor maps owner node v of an n-node run to its memo stripe:
-// contiguous node bands, aligned with how the engine cuts delivery
-// shards, so one phase-loop worker stays inside one stripe.
-func margStripeFor(v, n int) int {
-	if n <= 0 || v < 0 {
-		return 0
-	}
-	s := v * margStripes / n
-	if s >= margStripes {
-		s = margStripes - 1
-	}
-	return s
-}
-
-func margIndex(stripe int, k0, k1, k2, k3 uint64) *margSlot {
-	h := uint64(1469598103934665603)
-	for _, w := range [4]uint64{k0, k1, k2, k3} {
-		h ^= w
-		h *= 1099511628211
-	}
-	return &margTab[stripe][(h^h>>29)&(margStripeSlots-1)]
-}
-
-//sbw:allocfree phase-step kernel: seqlock memo read on every owned edge
-func margLoad(stripe int, k0, k1, k2, k3 uint64) (p0, p1 float64, ok bool) {
-	s := margIndex(stripe, k0, k1, k2, k3)
-	s1 := s.seq.Load()
-	if s1&1 != 0 {
-		return 0, 0, false
-	}
-	a0, a1, a2, a3 := s.k[0].Load(), s.k[1].Load(), s.k[2].Load(), s.k[3].Load()
-	v0, v1 := s.v[0].Load(), s.v[1].Load()
-	if s.seq.Load() != s1 || a0 != k0 || a1 != k1 || a2 != k2 || a3 != k3 {
-		return 0, 0, false
-	}
-	return math.Float64frombits(v0), math.Float64frombits(v1), true
-}
-
-//sbw:allocfree phase-step kernel: seqlock memo publish on memo miss
-func margStore(stripe int, k0, k1, k2, k3 uint64, p0, p1 float64) {
-	s := margIndex(stripe, k0, k1, k2, k3)
-	s1 := s.seq.Load()
-	if s1&1 != 0 || !s.seq.CompareAndSwap(s1, s1+1) {
-		return // another writer owns the slot; drop this entry
-	}
-	s.k[0].Store(k0)
-	s.k[1].Store(k1)
-	s.k[2].Store(k2)
-	s.k[3].Store(k3)
-	s.v[0].Store(math.Float64bits(p0))
-	s.v[1].Store(math.Float64bits(p1))
-	s.seq.Store(s1 + 2)
-}
-
 // edgeCombine assembles the Lemma 2.2 edge term from the three joint
 // coin probabilities (shared by the one-basis and split evaluations; the
 // expression and operation order are part of the bit-identity contract).
+//
 //sbw:allocfree phase-step kernel: Lemma 2.2 edge term assembly
 func edgeCombine(p1u, p1v, p11 float64, k1u, k0u, k1v, k0v int) float64 {
 	p00 := 1 - p1u - p1v + p11

@@ -1051,6 +1051,7 @@ func (r *runner) runShard(wid int) {
 // any release-channel close. A sender's outbox slot and sentNow flag for
 // an edge are touched only by the worker owning the receiving endpoint,
 // so delivery needs no locks.
+//
 //sbw:allocfree engine delivery inner loop: one call per receiver shard per round
 func (r *runner) deliverWork(wid int) {
 	ws := &r.wstats[wid]

@@ -85,6 +85,7 @@ func (s *FormSheet) Seal() {
 // lanes still containing bit j drop it. After the fold the sheet's
 // residuals are exactly what loReduce would derive against a basis
 // with the same bits fixed to the same values.
+//
 //sbw:allocfree phase-step kernel: per-seed-bit incremental plane fold
 func (s *FormSheet) Fix(j int, val bool) {
 	if j >= 64 {
@@ -136,6 +137,7 @@ type ProbPair struct {
 // branch 1 differs by the lane's split-plane bit — the same bytes
 // loReduce packs. The sheet must have folded exactly this basis's
 // fixed bits; any source rows are re-applied here.
+//
 //sbw:allocfree phase-step kernel: residual gather feeding the block walks
 func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loResid) {
 	split := uint(bits.TrailingZeros64(sb.split.Lo))
@@ -159,6 +161,7 @@ func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loResid) 
 // one call. Requires a low-word split (split bit < 64) and a sheet
 // folded in step with this basis; each result is bit-identical to
 // ProbOnePair on the coin.
+//
 //sbw:allocfree phase-step kernel: batched neighbor marginals, the memo batch-fill path
 func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out []ProbPair) {
 	for k := range reqs {
@@ -184,6 +187,7 @@ func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out [
 // typically from the memo ProbOnePairBlock just filled. Preconditions
 // as for ProbOnePairBlock; results are bit-identical to the scalar
 // call on the same coins.
+//
 //sbw:allocfree phase-step kernel: batched joint edge probabilities
 func (sb *SplitBasis) EdgePairBlock(sheet *FormSheet, cu, cv BlockCoin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
 	if cu.T == 0 {

@@ -20,6 +20,7 @@ package gf2
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Field is the binary field GF(2^m) with a fixed irreducible reduction
@@ -39,29 +40,36 @@ type Field struct {
 	fold [8][256]uint64
 }
 
-var fieldCache = map[int]*Field{}
+// fieldCache holds one lazily built field per degree. Each entry is
+// built under its own sync.Once, so concurrent first uses of one degree
+// (colorserve runs color requests concurrently) build it once and all
+// see the same *Field, and different degrees never wait on each other.
+var fieldCache [64]struct {
+	once sync.Once
+	f    *Field
+	err  error
+}
 
 // NewField returns GF(2^m) for 1 ≤ m ≤ 63. The reduction polynomial is
 // found by deterministic search (Rabin irreducibility test), so no
-// hard-coded table needs to be trusted; fields are cached per m.
-//
-// NewField is not safe for concurrent first use with the same m; callers
-// construct fields during single-threaded setup.
+// hard-coded table needs to be trusted; fields are cached per m and
+// safe to request from any number of goroutines.
 func NewField(m int) (*Field, error) {
 	if m < 1 || m > 63 {
 		return nil, fmt.Errorf("gf2: field degree %d out of range [1,63]", m)
 	}
-	if f, ok := fieldCache[m]; ok {
-		return f, nil
-	}
-	g, err := findIrreducible(m)
-	if err != nil {
-		return nil, err
-	}
-	f := &Field{m: m, g: g, max: (uint64(1) << m) - 1}
-	f.buildFoldTables()
-	fieldCache[m] = f
-	return f, nil
+	e := &fieldCache[m]
+	e.once.Do(func() {
+		g, err := findIrreducible(m)
+		if err != nil {
+			e.err = err
+			return
+		}
+		f := &Field{m: m, g: g, max: (uint64(1) << m) - 1}
+		f.buildFoldTables()
+		e.f = f
+	})
+	return e.f, e.err
 }
 
 // buildFoldTables fills the byte-wise reduction tables: fold[i][b] =

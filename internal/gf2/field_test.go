@@ -1,9 +1,46 @@
 package gf2
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// TestNewFieldConcurrentFirstUse requests degrees no earlier test in
+// the package builds from several goroutines at once, as concurrent
+// colorserve requests do: under -race an unguarded cache fails here,
+// and every caller must get the one cached field of each degree.
+func TestNewFieldConcurrentFirstUse(t *testing.T) {
+	const goroutines, lo, hi = 4, 40, 47
+	var got [goroutines][hi - lo + 1]*Field
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for m := lo; m <= hi; m++ {
+				f, err := NewField(m)
+				if err != nil {
+					t.Errorf("NewField(%d): %v", m, err)
+					return
+				}
+				got[g][m-lo] = f
+			}
+		}(g)
+	}
+	wg.Wait()
+	for m := lo; m <= hi; m++ {
+		want := MustField(m)
+		if want.M() != m {
+			t.Fatalf("NewField(%d).M() = %d", m, want.M())
+		}
+		for g := range got {
+			if got[g][m-lo] != want {
+				t.Errorf("goroutine %d got a different GF(2^%d) than the cache holds", g, m)
+			}
+		}
+	}
+}
 
 func TestNewFieldRange(t *testing.T) {
 	for _, m := range []int{0, -1, 64, 100} {

@@ -8,16 +8,16 @@ package scope
 // ChargedRounds, encoded bytes) must be bit-identical across runs,
 // worker counts, and hosts. detmaprange and detsource police these.
 var Deterministic = map[string]bool{
-	"smallbandwidth/internal/engine":   true,
-	"smallbandwidth/internal/core":     true,
+	"smallbandwidth/internal/engine":    true,
+	"smallbandwidth/internal/core":      true,
 	"smallbandwidth/internal/netdecomp": true,
-	"smallbandwidth/internal/gf2":      true,
-	"smallbandwidth/internal/linial":   true,
-	"smallbandwidth/internal/mis":      true,
-	"smallbandwidth/internal/clique":   true,
-	"smallbandwidth/internal/mpc":      true,
-	"smallbandwidth/internal/graph":    true,
-	"smallbandwidth/internal/snapshot": true,
+	"smallbandwidth/internal/gf2":       true,
+	"smallbandwidth/internal/linial":    true,
+	"smallbandwidth/internal/mis":       true,
+	"smallbandwidth/internal/clique":    true,
+	"smallbandwidth/internal/mpc":       true,
+	"smallbandwidth/internal/graph":     true,
+	"smallbandwidth/internal/snapshot":  true,
 }
 
 // NondetSource extends the detsource net beyond the deterministic core:

@@ -12,6 +12,7 @@
 // byte stream (no map iteration, fixed field order), so decoding a
 // snapshot and re-encoding it reproduces the input byte for byte; the
 // golden-file test pins that property for format v1.
+//
 //sbw:stickydecoder container decode path for hostile snapshot bytes (FuzzSnapshotDecode); sticky errors, never panics
 package snapshot
 
