@@ -530,7 +530,9 @@ func (st *cliqueRun) edgeExp(bs *gf2.Basis, fam *gf2.Family, nd *clqNode, u, w i
 			continue
 		}
 		if pr := gf2.ProbConj(bs, events); pr > 0 {
-			total += pr * (1/float64(ku[p]) + 1/float64(kv[p]))
+			// float64() rounds the product, so no GOARCH fuses it into
+			// the sum (a fused multiply-add changes the bits).
+			total += float64(pr * (1/float64(ku[p]) + 1/float64(kv[p])))
 		}
 	}
 	return total

@@ -141,20 +141,23 @@ func TestPhaseBlockWorkersSweep(t *testing.T) {
 // TestHubBandsBalanceWork pins cutBands: bands are contiguous, cover
 // every slot, and each carries within one slot's work of an equal
 // share, where a slot's work is its owned edges plus one for its own
-// marginal when a neighbor reads it, and a dead slot's is zero.
-// Owned-edge counts fall with the slot index, as they do when edges
-// belong to their smaller endpoint, so an equal-slot cut would be far
-// off.
+// marginal when a neighbor reads it, and a dead slot's is zero — also
+// when a colored node's slot still holds the owned edges and marginal
+// read of its last live phase, as it does while the node sleeps through
+// whole iterations. Owned-edge counts fall with the slot index, as they
+// do when edges belong to their smaller endpoint, so an equal-slot cut
+// would be far off.
 func TestHubBandsBalanceWork(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		owned []int // owned edges per slot of a read node; −1 marks a dead slot
+		owned []int // owned edges per slot of a read node; −1 marks a dead slot, k < −1 a dead slot left holding −k owned edges
 		bands int
 	}{
 		{"falling", []int{14, 12, 11, 9, 8, 6, 5, 3, 2, 0, 0, 0}, 2},
 		{"falling4", []int{30, 25, 20, 16, 12, 9, 6, 4, 2, 1, 0, 0, 0, 0, 0, 0}, 4},
 		{"dead", []int{-1, 9, -1, 4, 4, -1, 0, 0}, 3},
 		{"allDead", []int{-1, -1, -1}, 2},
+		{"staleDead", []int{-20, 9, -7, 4, 4, -30, 0, 0}, 3},
 		{"moreBandsThanSlots", []int{3, 1, 0}, 5},
 		{"oneBand", []int{5, 4, 0}, 1},
 	} {
@@ -162,9 +165,14 @@ func TestHubBandsBalanceWork(t *testing.T) {
 			h := newPhaseHub(len(tc.owned), nil, tc.bands)
 			total, maxWork := 0, 0
 			for si, k := range tc.owned {
-				ns := &nodeState{alive: k >= 0, margRead: k >= 0}
+				ns := &nodeState{alive: k >= 0, margRead: k != -1}
 				if k > 0 {
 					ns.ownedIdx = make([]int32, k)
+				} else if k < -1 {
+					ns.ownedIdx = make([]int32, -k)
+				}
+				if k < 0 && ns.bandWork() != 0 {
+					t.Fatalf("dead slot %d carries %d work units", si, ns.bandWork())
 				}
 				h.slots[si].ns = ns
 				total += ns.bandWork()
@@ -249,4 +257,21 @@ func FuzzPhaseBlock(f *testing.F) {
 			t.Fatalf("improper coloring: %v", err)
 		}
 	})
+}
+
+// TestHubSkipsColoredSlots: a colored node sleeps through whole
+// iterations, and its slot keeps the sheets and marginal read of its
+// last live phase. The band passes must skip it: slot 1 claims a read
+// marginal on sheets it does not have, so touching it would panic.
+func TestHubSkipsColoredSlots(t *testing.T) {
+	h := newPhaseHub(2, nil, 2)
+	h.slots[0].ns = &nodeState{}
+	h.slots[1].ns = &nodeState{margRead: true, sheetOK: true, sheetN: 1}
+	h.cut = []int{0, 1, 2}
+	h.acc[1] = [2]float64{1, 1}
+	h.forBands(passMarginals)
+	h.forBands(passEdges)
+	if h.acc[1] != [2]float64{} {
+		t.Errorf("colored slot contributed %v, want zeros", h.acc[1])
+	}
 }

@@ -58,21 +58,28 @@ import (
 //     waves cost (and zero messages for singleton components, whose
 //     aggregations never send).
 //
-// Coordination is scheduling-independent: slots register, the arrival
-// counter picks the last registrant as coordinator (any node — the
-// choice is unobservable), everyone else parks in SpinUntil, and the
-// engine's release-channel chain orders the coordinator's writes
-// before every sleeper's reads. No commit happens inside the segment,
-// so checkpoint cuts — taken only at iteration tops — see the same
-// committed states and the same staged stats as the distributed run.
+// Coordination is scheduling-independent. Every node registers its
+// slot once, at node start. In each phase only the alive registrants
+// arrive: a node colored in an earlier iteration sleeps through the
+// whole iteration (sleepIteration), and its slot contributes a zero
+// pair and does no band work. The arrival that reaches the component's
+// alive count — the iteration-top converge's total, known to every
+// node — coordinates (any alive node; the choice is unobservable),
+// everyone else parks in SpinUntil, and the engine's release-channel
+// chain orders the coordinator's writes before every sleeper's reads.
+// No commit happens inside the segment, so checkpoint cuts — taken
+// only at iteration tops — see the same committed states and the same
+// staged stats as the distributed run.
 type phaseHub struct {
 	size    int
 	p       *Params
 	arrived atomic.Int64
 
-	// Coordinator-only state below; the registration counter orders
-	// every slot write before the coordinator's reads, and the segment
-	// wake-up orders the coordinator's writes before the slots' reads.
+	// Coordinator-only state below; the arrival counter orders every
+	// alive slot's phase writes before the coordinator's reads (a
+	// colored slot's state was last written iterations ago, before
+	// barriers every node has since passed), and the segment wake-up
+	// orders the coordinator's writes before the slots' reads.
 	// The band goroutines of a pass touch only their own slots' acc and
 	// marg entries, their own sbs and panics entries, and read the rest;
 	// the go statements and wg.Wait order them against the coordinator.
@@ -186,7 +193,9 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 			panic("core: chosen seed bit inconsistent")
 		}
 		for si := range h.slots {
-			h.slots[si].ns.foldSheets(j, rj)
+			if ns := h.slots[si].ns; ns.alive {
+				ns.foldSheets(j, rj)
+			}
 		}
 		seed = seed.WithBit(j, rj)
 	}
@@ -218,8 +227,13 @@ func (h *phaseHub) cutBands() {
 	}
 }
 
-// bandWork is this node's share of a seed bit's hub work this phase.
+// bandWork is this node's share of a seed bit's hub work this phase. A
+// colored node's is zero: its ownedIdx and margRead are left over from
+// its last live phase.
 func (ns *nodeState) bandWork() int {
+	if !ns.alive {
+		return 0
+	}
 	if ns.margRead {
 		return len(ns.ownedIdx) + 1
 	}
@@ -265,7 +279,7 @@ func (h *phaseHub) band(pass, b int) {
 	for si := h.cut[b]; si < h.cut[b+1]; si++ {
 		ns := h.slots[si].ns
 		if pass == passMarginals {
-			if ns.margRead {
+			if ns.alive && ns.margRead {
 				h.marg[si] = ns.ownMarginal(sb)
 			}
 			continue
@@ -278,15 +292,14 @@ func (h *phaseHub) band(pass, b int) {
 	}
 }
 
-// runPhaseBulk is the per-node entry to the hub for one phase: register
-// this node's slot, let the last registrant run the segment centrally,
-// and sleep through the segment's exact round span. Returns the
+// runPhaseBulk is an alive node's entry to the hub for one phase:
+// arrive, let the last alive arrival run the segment centrally, and
+// sleep through the segment's exact round span. Returns the
 // component's chosen seed.
 func (ns *nodeState) runPhaseBulk() gf2.Vec128 {
 	h := ns.hub
-	h.slots[ns.rank].ns = ns
 	start := ns.ctx.Round()
-	if h.arrived.Add(1) == int64(h.size) {
+	if h.arrived.Add(1) == ns.compAlive {
 		if !h.built {
 			h.build()
 		}
@@ -301,10 +314,10 @@ func (ns *nodeState) runPhaseBulk() gf2.Vec128 {
 		}
 		h.arrived.Store(0)
 	}
-	// The segment's exact span: D aggregations of 2·Height+6 rounds each
-	// (every node computes the same bound from its own tree copy). The
-	// whole domain sleeps, so the engine advances it in one jump.
-	congest.SpinUntil(ns.ctx, start+ns.p.D*(2*ns.tree.Height+6))
+	// The segment's exact span: D aggregations (every node computes the
+	// same bound from its own tree copy). The whole domain sleeps, so the
+	// engine advances it in one jump.
+	congest.SpinUntil(ns.ctx, start+ns.seedBitsSpan())
 	ns.op += uint64(ns.p.D)
 	return h.seed
 }

@@ -412,11 +412,12 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 
 	// One phase hub per component: the bulk seed-bit aggregation seam
 	// (bulk.go), fanned out over as many work bands as the engine would
-	// cut delivery shards for the component alone. opts.noBulk keeps the
-	// per-node converge loop instead (the differential tests pin the two
-	// paths bit-identical).
+	// cut delivery shards for the component alone. opts.noBulk and
+	// opts.refEval keep the per-node converge loop instead (the
+	// differential tests pin the paths bit-identical), so a node's
+	// ns.hub alone says which loop its phases run.
 	var hubs map[int]*phaseHub
-	if !opts.noBulk {
+	if !opts.noBulk && !opts.refEval {
 		hubs = make(map[int]*phaseHub, len(comps))
 		for _, comp := range comps {
 			bands := congest.DeliveryShards(len(comp), opts.Workers)
@@ -454,8 +455,12 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		ns := &nodeState{ctx: ctx, p: params[ctx.ID()], opts: opts, m: m,
 			root: int(roots[ctx.ID()]), rank: ranks[ctx.ID()], weight: w}
 		if hubs != nil {
+			// Register once, at node start: the hub's fold schedule needs
+			// every slot's tree, including the colored nodes that sleep
+			// through whole iterations and never enter a phase again.
 			ns.hub = hubs[ns.root]
 			ns.rankOf = ranks
+			ns.hub.slots[ns.rank].ns = ns
 		}
 		ns.init(inst, ar)
 		if restore != nil && restore[ctx.ID()] != nil {
@@ -522,6 +527,11 @@ type nodeState struct {
 	tree *congest.Tree
 	op   uint64
 
+	// compAlive is the component's alive count at the top of the current
+	// iteration (the alive-count converge's total): the number of nodes
+	// that enter each of the iteration's hub phases.
+	compAlive int64
+
 	psi       uint64   // Linial input color in [K]
 	list      []uint32 // remaining allowed colors
 	color     uint32
@@ -566,7 +576,8 @@ type nodeState struct {
 
 	// Bulk-aggregation seam (bulk.go): the component's phase hub and the
 	// shared node→rank table its fold schedule is built from. nil/unset
-	// with opts.noBulk, which keeps the per-node converge loop.
+	// with opts.noBulk or opts.refEval, which keep the per-node converge
+	// loop.
 	hub    *phaseHub
 	rankOf []uint64
 
@@ -598,6 +609,12 @@ type nodeState struct {
 	// buffers. With two arenas a buffer is rewritten no earlier than
 	// round r+2, by when the engine's barrier ordering guarantees the
 	// round-r+1 read has happened-before the write.
+	//
+	// So an arena payload must be read in the round after it was sent.
+	// A message its receiver may read later — one that arrives while
+	// the receiver sleeps in SkipUntil, like tagMIS during the MIS
+	// sweep — must not come from the arena: send a shared immutable
+	// payload (misMsg) instead.
 	msgArena [2][]uint64
 }
 
@@ -807,11 +824,56 @@ func (ns *nodeState) loop(startIter int) {
 			ns.commitDone(iter)
 			return
 		}
-		if ns.alive {
+		ns.compAlive = int64(totals[0])
+		switch {
+		case ns.alive:
 			ns.m.addAlive(iter, ns.ctx.ID(), ns.weight)
+			ns.partialIteration(iter)
+		case ns.hub != nil:
+			ns.sleepIteration()
+		default:
+			// The per-node loops' aggregation waves need colored nodes as
+			// tree relays, so they tick through the iteration.
+			ns.partialIteration(iter)
 		}
-		ns.partialIteration(iter)
 	}
+}
+
+// Segment lengths, in rounds, of a partial-coloring iteration. Every
+// node of a component computes the same values (Height is the whole
+// tree's), which is what lets a node sleep through a segment and wake
+// in lockstep with the nodes that ran it.
+
+// convergeSpan is one tree aggregation, resynchronization included.
+func (ns *nodeState) convergeSpan() int { return 2*ns.tree.Height + 6 }
+
+// seedBitsSpan is a phase's seed-bit loop: one aggregation per bit.
+func (ns *nodeState) seedBitsSpan() int { return ns.p.D * ns.convergeSpan() }
+
+// phaseSpan is one prefix phase: the (k1, |L|, ψ) exchange round, the
+// seed-bit loop, and the prefix-bit round.
+func (ns *nodeState) phaseSpan() int { return 1 + ns.seedBitsSpan() + 1 }
+
+// misSpan is the MIS step after the V<4 exchange: Linial on H, then
+// one round per color class.
+func (p *Params) misSpan() int { return len(p.MISSched) + int(p.MISK) }
+
+// iterationSpan is an iteration's body after the alive-count converge:
+// the phases, the V<4 exchange, the MIS step, and the announce round.
+func (ns *nodeState) iterationSpan() int {
+	return ns.p.LogC*ns.phaseSpan() + 1 + ns.p.misSpan() + 1
+}
+
+// sleepIteration is a colored node's iteration on a hub component.
+// Such a node has no conflict edges, sends nothing, and is sent
+// nothing until the announce round, and the hub folds its zero
+// contribution without it; so it sleeps through the whole body in one
+// SkipUntil, advancing its aggregation counter past the hub's D·LogC
+// aggregations, and wakes to apply the announce round's tagFinal
+// messages exactly as finishIteration does.
+func (ns *nodeState) sleepIteration() {
+	ns.op += uint64(ns.p.LogC * ns.p.D)
+	ns.applyFinals(ns.ctx.SkipUntil(ns.ctx.Round() + ns.iterationSpan()))
 }
 
 // commitDone records the node's terminal state. The exit conditions
@@ -909,17 +971,15 @@ func (ns *nodeState) partialIteration(iter int) {
 	// both endpoints in V<4), so they sleep through it in one skip; the
 	// segment length is the same for everyone, so lockstep is preserved.
 	if !inV4 {
-		congest.SpinUntil(ns.ctx, ns.ctx.Round()+len(ns.p.MISSched)+int(ns.p.MISK))
+		congest.SpinUntil(ns.ctx, ns.ctx.Round()+ns.p.misSpan())
 		ns.finishIteration(iter, false)
 		return
 	}
 	hColor := ns.psi
 	for _, st := range ns.p.MISSched {
-		if inV4 {
-			for i, w := range ns.ctx.Neighbors() {
-				if hNbr[i] {
-					ns.ctx.Send(int(w), append(ns.msgBuf(i), tagHLin, hColor))
-				}
+		for i, w := range ns.ctx.Neighbors() {
+			if hNbr[i] {
+				ns.ctx.Send(int(w), append(ns.msgBuf(i), tagHLin, hColor))
 			}
 		}
 		nbrColors := ns.nbrColors[:0]
@@ -929,35 +989,47 @@ func (ns *nodeState) partialIteration(iter int) {
 				nbrColors = append(nbrColors, in.Payload[1])
 			}
 		}
-		if inV4 {
-			next, err := linial.NextColor(hColor, nbrColors, st)
-			if err != nil {
-				panic(fmt.Sprintf("core: MIS Linial failed at node %d: %v", ns.ctx.ID(), err))
-			}
-			hColor = next
+		next, err := linial.NextColor(hColor, nbrColors, st)
+		if err != nil {
+			panic(fmt.Sprintf("core: MIS Linial failed at node %d: %v", ns.ctx.ID(), err))
 		}
+		hColor = next
 	}
 
-	inMIS, blocked := false, false
-	for c := uint64(0); c < ns.p.MISK; c++ {
-		if inV4 && !blocked && !inMIS && hColor == c {
-			inMIS = true
-			for i, w := range ns.ctx.Neighbors() {
-				if hNbr[i] {
-					ns.ctx.Send(int(w), append(ns.msgBuf(i), tagMIS))
-				}
+	// The sweep spends round start+c on color class c. A node acts only
+	// in its own class's round, on the tagMIS messages that reached it
+	// before, so it sleeps to that round, joins unless an H-neighbor
+	// already did, and sleeps out the sweep.
+	if hColor >= ns.p.MISK {
+		panic(fmt.Sprintf("core: node %d has H-color %d outside the MIS sweep's %d classes", ns.ctx.ID(), hColor, ns.p.MISK))
+	}
+	start := ns.ctx.Round()
+	inMIS := true
+	for _, in := range ns.ctx.SkipUntil(start + int(hColor)) {
+		mustTag(in, tagMIS)
+		if hNbr[ns.ctx.NeighborIndex(in.From)] {
+			inMIS = false
+		}
+	}
+	if inMIS {
+		for i, w := range ns.ctx.Neighbors() {
+			if hNbr[i] {
+				ns.ctx.Send(int(w), misMsg)
 			}
 		}
-		for _, in := range ns.ctx.Next() {
-			mustTag(in, tagMIS)
-			if hNbr[ns.ctx.NeighborIndex(in.From)] {
-				blocked = true
-			}
-		}
+	}
+	for _, in := range ns.ctx.SkipUntil(start + int(ns.p.MISK)) {
+		mustTag(in, tagMIS)
 	}
 
 	ns.finishIteration(iter, inMIS)
 }
+
+// misMsg is every tagMIS payload. A receiver reads it when it wakes for
+// its own color class, up to MISK rounds after the send, when the
+// sender's msgArena buffer may already carry a later message; so the
+// payload is one shared slice that nothing ever writes.
+var misMsg = congest.Message{tagMIS}
 
 // finishIteration is the iteration's final announce round: MIS nodes
 // keep their candidate color permanently and announce it; everyone
@@ -973,12 +1045,17 @@ func (ns *nodeState) finishIteration(iter int, inMIS bool) {
 			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagFinal, uint64(ns.color)))
 		}
 	}
-	for _, in := range ns.ctx.Next() {
-		mustTag(in, tagFinal)
-		i := ns.ctx.NeighborIndex(in.From)
-		ns.aliveNbr[i] = false
+	ns.applyFinals(ns.ctx.Next())
+}
+
+// applyFinals prunes the announce round's newly colored neighbors: they
+// are no longer alive, and their colors leave a live node's list.
+func (ns *nodeState) applyFinals(in []congest.Incoming) {
+	for _, m := range in {
+		mustTag(m, tagFinal)
+		ns.aliveNbr[ns.ctx.NeighborIndex(m.From)] = false
 		if ns.alive {
-			ns.list = removeColor(ns.list, uint32(in.Payload[1]))
+			ns.list = removeColor(ns.list, uint32(m.Payload[1]))
 		}
 	}
 }
@@ -1404,7 +1481,7 @@ func (ns *nodeState) converge(x0, x1 float64) [2]float64 {
 	// skip-scheduled aggregation applies — nodes sleep through the wave
 	// instead of ticking every round.
 	ns.convVec[0], ns.convVec[1] = x0, x1
-	res := congest.ConvergeSumLockstepTo(ns.ctx, ns.tree, ns.op, ns.convVec[:], start+2*ns.tree.Height+6)
+	res := congest.ConvergeSumLockstepTo(ns.ctx, ns.tree, ns.op, ns.convVec[:], start+ns.convergeSpan())
 	// Copy before returning: the result buffer lives on the tree.
 	return [2]float64{res[0], res[1]}
 }

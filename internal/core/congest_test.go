@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"smallbandwidth/internal/congest"
@@ -420,24 +424,87 @@ func TestInvalidInstanceRejected(t *testing.T) {
 	}
 }
 
+// TestDeterministicEndToEnd pins absolute multi-iteration results, not
+// just run-to-run agreement: for each input, the Stats, the iteration
+// count, AliveAt, the CRC-32 of the colors (little-endian uint32s), and
+// the CRC-32 of the encoded checkpoint at every cut, at one worker and
+// at four. The values were recorded before the MIS sweep and colored
+// nodes were skip-scheduled, so they also pin that sleeping through
+// silent rounds moved no send, no choice, and no committed byte.
 func TestDeterministicEndToEnd(t *testing.T) {
-	g := graph.Grid2D(4, 4)
-	inst := mustInstance(t, g)
-	r1, err := ListColorCONGEST(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ListColorCONGEST(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range r1.Colors {
-		if r1.Colors[v] != r2.Colors[v] {
-			t.Fatalf("node %d colored %d then %d: algorithm is not deterministic",
-				v, r1.Colors[v], r2.Colors[v])
-		}
-	}
-	if r1.Stats.Rounds != r2.Stats.Rounds {
-		t.Errorf("round counts differ: %d vs %d", r1.Stats.Rounds, r2.Stats.Rounds)
+	for _, tc := range []struct {
+		name      string
+		inst      func(t *testing.T) *graph.Instance
+		stats     congest.Stats
+		aliveAt   []int
+		colorsCRC uint32
+		cutCRC    map[int]uint32 // cut round → CRC-32 of EncodeCheckpoint
+	}{
+		{
+			name:      "grid4x4",
+			inst:      func(t *testing.T) *graph.Instance { return mustInstance(t, graph.Grid2D(4, 4)) },
+			stats:     congest.Stats{Rounds: 946, Messages: 1794, Words: 6834, MaxMessageWords: 4},
+			aliveAt:   []int{16},
+			colorsCRC: 0x5c5f45c5,
+			cutCRC:    map[int]uint32{22: 0x45ec0b18, 928: 0xe0503108, 946: 0x8c57de46},
+		},
+		{
+			name: "grid40x40lists",
+			inst: func(t *testing.T) *graph.Instance {
+				inst, err := graph.RandomListInstance(graph.Grid2D(40, 40), 16, 2, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return inst
+			},
+			stats:     congest.Stats{Rounds: 21582, Messages: 463749, Words: 1791267, MaxMessageWords: 4},
+			aliveAt:   []int{1600, 31},
+			colorsCRC: 0x7db948d8,
+			cutCRC:    map[int]uint32{240: 0xdcd210d6, 10830: 0x2859cbd8, 21420: 0x3ae1063f, 21582: 0x6bb95b19},
+		},
+		{
+			name:      "regular600",
+			inst:      func(t *testing.T) *graph.Instance { return mustInstance(t, graph.MustRandomRegular(600, 8, 5)) },
+			stats:     congest.Stats{Rounds: 3277, Messages: 302294, Words: 1159818, MaxMessageWords: 4},
+			aliveAt:   []int{600, 127, 3},
+			colorsCRC: 0x2b7bb59e,
+			cutCRC:    map[int]uint32{17: 0xa48eaa87, 1099: 0xa11fdbb1, 2181: 0x50319e5e, 3263: 0x3179e6c9, 3277: 0x74e64963},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := tc.inst(t)
+			for _, workers := range []int{1, 4} {
+				opts := Options{Workers: workers}
+				res, err := ListColorCONGEST(inst, opts)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if res.Stats != tc.stats || res.Iterations != len(tc.aliveAt) || !reflect.DeepEqual(res.AliveAt, tc.aliveAt) {
+					t.Errorf("workers=%d: stats %+v, %d iterations, AliveAt %v; want %+v, %d, %v",
+						workers, res.Stats, res.Iterations, res.AliveAt, tc.stats, len(tc.aliveAt), tc.aliveAt)
+				}
+				var colorBytes []byte
+				for _, c := range res.Colors {
+					colorBytes = binary.LittleEndian.AppendUint32(colorBytes, c)
+				}
+				if got := crc32.ChecksumIEEE(colorBytes); got != tc.colorsCRC {
+					t.Errorf("workers=%d: colors CRC %08x, want %08x", workers, got, tc.colorsCRC)
+				}
+
+				ck := &congest.Checkpointer{KeepAll: true}
+				resumable, err := ListColorResumable(inst, opts, ck, nil)
+				if err != nil {
+					t.Fatalf("workers=%d checkpointed: %v", workers, err)
+				}
+				requireResultEq(t, fmt.Sprintf("workers=%d checkpointed", workers), resumable, res)
+				cuts := map[int]uint32{}
+				for _, k := range ck.CutRounds() {
+					cuts[k] = crc32.ChecksumIEEE(EncodeCheckpoint(&Checkpoint{Inst: inst, Opts: opts, Snap: ck.At(k)}))
+				}
+				if !reflect.DeepEqual(cuts, tc.cutCRC) {
+					t.Errorf("workers=%d: cut CRCs %x, want %x", workers, cuts, tc.cutCRC)
+				}
+			}
+		})
 	}
 }

@@ -71,9 +71,10 @@ type Options struct {
 	Workers int
 
 	// refEval routes every derandomization phase through the
-	// pre-optimization evaluation path (runPhaseRef). Test-only: the
-	// differential tests pin that the optimized hot path reproduces the
-	// reference bit for bit.
+	// pre-optimization evaluation path (runPhaseRef), with every seed
+	// bit's tree aggregation run for real (no phase hubs). Test-only:
+	// the differential tests pin that the optimized hot path reproduces
+	// the reference bit for bit.
 	refEval bool
 
 	// noBulk disables the per-component bulk seed-bit aggregation
@@ -193,6 +194,10 @@ func EdgeExpectationSplit(sb *gf2.SplitBasis, cu, cv gf2.Coin, k1u, k0u, k1v, k0
 // edgeCombine assembles the Lemma 2.2 edge term from the three joint
 // coin probabilities (shared by the one-basis and split evaluations; the
 // expression and operation order are part of the bit-identity contract).
+// Each product is rounded by an explicit float64 conversion before it
+// is added: the Go spec lets arm64, ppc64le, s390x and riscv64 fuse an
+// unrounded x*y + z into one multiply-add, whose bits differ from
+// amd64's.
 //
 //sbw:allocfree phase-step kernel: Lemma 2.2 edge term assembly
 func edgeCombine(p1u, p1v, p11 float64, k1u, k0u, k1v, k0v int) float64 {
@@ -200,11 +205,11 @@ func edgeCombine(p1u, p1v, p11 float64, k1u, k0u, k1v, k0v int) float64 {
 	var e float64
 	if p11 > 0 {
 		// p11 > 0 implies k1u, k1v ≥ 1 (thresholds are 0 otherwise).
-		e += p11 * (1/float64(k1u) + 1/float64(k1v))
+		e += float64(p11 * (1/float64(k1u) + 1/float64(k1v)))
 	}
 	if p00 > 0 {
 		// p00 > 0 implies k0u, k0v ≥ 1 (p = 1 coins never show 0).
-		e += p00 * (1/float64(k0u) + 1/float64(k0v))
+		e += float64(p00 * (1/float64(k0u) + 1/float64(k0v)))
 	}
 	return e
 }

@@ -369,7 +369,9 @@ func RandomGeometric(n int, radius float64, seed uint64) *Graph {
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			dx, dy := xs[u]-xs[v], ys[u]-ys[v]
-			if dx*dx+dy*dy <= r2 {
+			// float64() rounds each square, so no GOARCH fuses them into
+			// a multiply-add and the same seed gives the same graph.
+			if float64(dx*dx)+float64(dy*dy) <= r2 {
 				b.add(u, v)
 			}
 		}

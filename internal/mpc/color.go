@@ -492,12 +492,14 @@ func edgeExp1(bs *gf2.Basis, fam *gf2.Family, b int, xu, k1u, lu, xv, k1v, lv ui
 	p1v := cv.ProbOne(bs)
 	p11 := gf2.ProbBothOne(bs, cu, cv)
 	p00 := 1 - p1u - p1v + p11
+	// float64() rounds each product, so no GOARCH fuses it into the sum
+	// (a fused multiply-add changes the bits).
 	var e float64
 	if p11 > 0 {
-		e += p11 * (1/float64(k1u) + 1/float64(k1v))
+		e += float64(p11 * (1/float64(k1u) + 1/float64(k1v)))
 	}
 	if p00 > 0 {
-		e += p00 * (1/float64(lu-k1u) + 1/float64(lv-k1v))
+		e += float64(p00 * (1/float64(lu-k1u) + 1/float64(lv-k1v)))
 	}
 	return e
 }
