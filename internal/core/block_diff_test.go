@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smallbandwidth/internal/congest"
+	"smallbandwidth/internal/gf2"
 	"smallbandwidth/internal/graph"
 )
 
@@ -50,11 +51,9 @@ func compareRuns(t *testing.T, name string, ref, got *Result) {
 // owned-edge counts that straddle its block boundaries — 0 owned edges
 // (no sheets at all), 1, one lane shy of typical sheet capacity, at it,
 // and past it (63, 64, 65 force single- and multi-sheet layouts) — and
-// pins the three evaluation tiers against each other on each: the
-// reference path (refEval), the per-node batched path with real tree
-// aggregations (noBulk), and the default bulk path. A star's center owns
-// every edge (it carries the smallest ID), so the star's leaf count is
-// exactly the center's owned-edge count.
+// pins the default bulk path against the reference path (refEval) on
+// each. A star's center owns every edge (it carries the smallest ID),
+// so the star's leaf count is exactly the center's owned-edge count.
 func TestPhaseBlockOwnedEdgeSweep(t *testing.T) {
 	for _, leaves := range []int{0, 1, 63, 64, 65} {
 		g := graph.Star(leaves + 1)
@@ -63,17 +62,11 @@ func TestPhaseBlockOwnedEdgeSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("leaves=%d ref: %v", leaves, err)
 		}
-		noBulk, err := ListColorCONGEST(inst, Options{TrackPotentials: true, noBulk: true})
-		if err != nil {
-			t.Fatalf("leaves=%d noBulk: %v", leaves, err)
-		}
 		bulk, err := ListColorCONGEST(inst, Options{TrackPotentials: true})
 		if err != nil {
 			t.Fatalf("leaves=%d bulk: %v", leaves, err)
 		}
-		name := func(s string) string { return s + "/" + itoa(leaves) }
-		compareRuns(t, name("noBulk"), ref, noBulk)
-		compareRuns(t, name("bulk"), ref, bulk)
+		compareRuns(t, "bulk/"+itoa(leaves), ref, bulk)
 		if err := inst.VerifyColoring(bulk.Colors); err != nil {
 			t.Errorf("leaves=%d: improper coloring: %v", leaves, err)
 		}
@@ -94,15 +87,14 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// TestPhaseBlockWorkersSweep runs the per-node batched path (noBulk,
-// so the D tree aggregations really cross the delivery shards) and the
-// bulk path at several worker counts and pins every result against the
-// single-worker reference path — the batched evaluation must be
-// scheduling-independent like everything else in the engine. The
-// 80-node GNP input is under the 256-node floor, so its hubs stay
-// inline; the 600-node regular graph is one component past it, so its
-// hub fans each seed bit out over two work bands, cut at equal
-// owned-edge counts far from equal slot counts.
+// TestPhaseBlockWorkersSweep runs the bulk path at several worker
+// counts and pins every result against the single-worker reference
+// path — the batched evaluation must be scheduling-independent like
+// everything else in the engine. The 80-node GNP input is under the
+// 256-node floor, so its hubs stay inline; the 600-node regular graph
+// is one component past it, so its hub fans each seed bit out over two
+// work bands, cut at equal owned-edge counts far from equal slot
+// counts.
 func TestPhaseBlockWorkersSweep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -118,23 +110,59 @@ func TestPhaseBlockWorkersSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4} {
-				for _, noBulk := range []bool{false, true} {
-					opts := Options{TrackPotentials: true, Workers: workers, noBulk: noBulk}
-					got, err := ListColorCONGEST(inst, opts)
-					if err != nil {
-						t.Fatalf("workers=%d noBulk=%v: %v", workers, noBulk, err)
-					}
-					name := "bulk"
-					if noBulk {
-						name = "noBulk"
-					}
-					compareRuns(t, name+"/workers="+itoa(workers), ref, got)
+				got, err := ListColorCONGEST(inst, Options{TrackPotentials: true, Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				compareRuns(t, "bulk/workers="+itoa(workers), ref, got)
 			}
 		})
 	}
 	if n := 600; congest.DeliveryShards(n, 2) < 2 {
 		t.Errorf("a %d-node component no longer cuts two hub bands at Workers=2; pick a larger input", n)
+	}
+}
+
+// TestWideSeedHubMatchesReference sends seeds longer than 64 bits
+// through the hub's scalar tier, the only evaluator for forms no sheet
+// can carry, and pins it against the reference path. Such seeds need
+// M ≥ 33, which ComputeParams reaches only from Δ ≈ 3,850 on (with
+// HighAccuracy), so each input's parameter set is widened to M = 33 by
+// hand and run through runColoringDomains directly: one component and
+// nil weights keep the set as given.
+func TestWideSeedHubMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"torus5x5", graph.Torus2D(5, 5)},
+		{"gnp48", graph.GNP(48, 0.12, 9)},
+		{"star40", graph.Star(40)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := graph.DeltaPlusOneInstance(tc.g)
+			if c := len(tc.g.ConnectedComponents()); c != 1 {
+				t.Fatalf("input has %d components; the widened parameter set needs one", c)
+			}
+			run := func(opts Options) *Result {
+				p, err := ComputeParams(inst, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.M, p.D, p.Fam = 33, 66, gf2.MustFamily(33, 2)
+				res, _, err := runColoringDomains(inst, opts, p, nil, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			ref := run(Options{TrackPotentials: true, refEval: true})
+			got := run(Options{TrackPotentials: true})
+			compareRuns(t, "wide", ref, got)
+			if err := inst.VerifyColoring(got.Colors); err != nil {
+				t.Errorf("improper coloring: %v", err)
+			}
+		})
 	}
 }
 

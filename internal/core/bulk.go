@@ -36,15 +36,19 @@ import (
 // table by slot. The tree-order fold, the FixBit and the sheet folds
 // stay sequential on the coordinator.
 //
-// Bit-identity with the per-node loop (opts.noBulk) and the reference
-// path (opts.refEval) rests on three invariants, each pinned by the
-// differential suites:
+// Bit-identity with the reference path (opts.refEval, runPhaseRef: a
+// fresh basis per phase, clone-and-FixBit per β branch, and every
+// aggregation run as a real tree wave) rests on three invariants, each
+// pinned by the differential suites:
 //
-//  1. Per-node evaluation is the same code: every band calls the same
-//     evalPhaseBit the per-node loop calls, against a split of a basis
-//     with the same fixed-bit history, and a marginal is the same exact
-//     dyadic whether read from the table or computed by the owner, so
-//     every (x0, x1) pair matches bitwise — whichever band computed it.
+//  1. Every node's (x0, x1) pair is the reference's, bit for bit: the
+//     probabilities are exact dyadics, and the same ones whether
+//     gathered from sheets, walked by the scalar kernel under a split
+//     of the hub's basis, or walked under runPhaseRef's cloned bases;
+//     a neighbor's marginal is the same dyadic read from the table as
+//     computed by its owner; and every node's edge terms go through
+//     edgeCombine in owned-edge order, the reference's order —
+//     whichever band computed them.
 //  2. The float fold replicates the converge: ConvergeSumLockstepTo
 //     folds, at each tree node, the node's own vector plus each child's
 //     finished accumulator in child arrival order — ascending subtree
@@ -54,7 +58,7 @@ import (
 //     is the bit-identical float.
 //  3. Rounds, messages, words, and widths are charged as measured:
 //     D aggregations of 2(size−1) messages × 4 words over
-//     D·(2·Height+6) rounds, which is exactly what the distributed
+//     D·(2·Height+6) rounds, which is exactly what the reference's
 //     waves cost (and zero messages for singleton components, whose
 //     aggregations never send).
 //
@@ -91,9 +95,8 @@ type phaseHub struct {
 	built bool
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
 
-	bit    int               // the seed bit the bands are evaluating
 	cut    []int             // band b covers slots [cut[b], cut[b+1])
-	sbs    []*gf2.SplitBasis // band b's split of basis on bit; nil when unsplittable
+	sbs    []*gf2.SplitBasis // band b's split of basis on the bit being evaluated
 	panics []any             // a band's recovered panic, re-raised by the coordinator
 	wg     sync.WaitGroup
 }
@@ -165,19 +168,18 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 	h.cutBands()
 	var seed gf2.Vec128
 	for j := 0; j < h.p.D; j++ {
-		h.bit = j
-		split := false
+		// The basis holds only the chosen bits 0..j−1, so bit j is free.
 		for b := range h.sbs {
-			h.sbs[b], split = basis.Split(j)
-		}
-		if split {
-			h.forBands(passMarginals)
-		}
-		h.forBands(passEdges)
-		if split {
-			for _, sb := range h.sbs {
-				sb.Release()
+			sb, ok := basis.Split(j)
+			if !ok {
+				panic("core: seed bit not free to split")
 			}
+			h.sbs[b] = sb
+		}
+		h.forBands(passMarginals)
+		h.forBands(passEdges)
+		for _, sb := range h.sbs {
+			sb.Release()
 		}
 		for _, si := range h.order {
 			a := &h.acc[si]
@@ -286,7 +288,7 @@ func (h *phaseHub) band(pass, b int) {
 		}
 		var x0, x1 float64
 		if ns.alive {
-			x0, x1 = ns.evalPhaseBit(h.bit, &h.basis, sb, sb != nil, h.marg)
+			x0, x1 = ns.evalPhaseBit(sb, h.marg)
 		}
 		h.acc[si] = [2]float64{x0, x1}
 	}

@@ -412,12 +412,11 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 
 	// One phase hub per component: the bulk seed-bit aggregation seam
 	// (bulk.go), fanned out over as many work bands as the engine would
-	// cut delivery shards for the component alone. opts.noBulk and
-	// opts.refEval keep the per-node converge loop instead (the
-	// differential tests pin the paths bit-identical), so a node's
-	// ns.hub alone says which loop its phases run.
+	// cut delivery shards for the component alone. opts.refEval builds
+	// none: its phases run runPhaseRef's real aggregation waves, which
+	// the differential tests pin the hub against.
 	var hubs map[int]*phaseHub
-	if !opts.noBulk && !opts.refEval {
+	if !opts.refEval {
 		hubs = make(map[int]*phaseHub, len(comps))
 		for _, comp := range comps {
 			bands := congest.DeliveryShards(len(comp), opts.Workers)
@@ -554,7 +553,6 @@ type nodeState struct {
 	nbrCoins  []gf2.Coin
 	hNbr      []bool
 	nbrColors []uint64
-	basisTmp  gf2.Basis
 
 	// Derandomization hot-path caches. The coin *forms* of a node depend
 	// only on (ψ, B), both fixed for the whole run once Linial finishes,
@@ -569,15 +567,13 @@ type nodeState struct {
 	nbrFormsPsi []uint64
 	nbrFormsOK  []bool
 
-	phaseBasis gf2.Basis  // reused seed-bit basis (one Reset per phase)
-	convVec    [2]float64 // reused aggregation input vector
-	ownedIdx   []int32    // neighbor indexes of owned conflict edges (rebuilt per phase)
-	margRead   bool       // some conflict neighbor owns an edge into this node (this phase)
+	convVec  [2]float64 // reused aggregation input vector
+	ownedIdx []int32    // neighbor indexes of owned conflict edges (rebuilt per phase)
+	margRead bool       // some conflict neighbor owns an edge into this node (this phase)
 
 	// Bulk-aggregation seam (bulk.go): the component's phase hub and the
 	// shared node→rank table its fold schedule is built from. nil/unset
-	// with opts.noBulk or opts.refEval, which keep the per-node converge
-	// loop.
+	// with opts.refEval, whose phases run real aggregation waves.
 	hub    *phaseHub
 	rankOf []uint64
 
@@ -592,14 +588,12 @@ type nodeState struct {
 	// many neighbor coins as fit its 64 lanes, is folded incrementally
 	// as seed bits are chosen, and feeds the block kernels. Rebuilt per
 	// phase (the storage is reused); sheetOK gates the batched path —
-	// when false (wide masks, B too large for a lane pair, D > 64) the
-	// loop falls back to the scalar kernels edge by edge.
-	sheets   []*gf2.FormSheet
-	sheetN   int
-	sheetOK  bool
-	edgeBlk  []edgeBlock     // per owned edge: sheet index and lane groups
-	pvBuf    []gf2.ProbPair  // per-node path: per owned edge, neighbor marginal pair this bit
-	blockReq []gf2.BlockCoin // per-node path: one sheet's neighbor coins
+	// when false (D > 64, whose forms carry high-word masks) the hub
+	// evaluates the node's edges with the scalar kernel one by one.
+	sheets  []*gf2.FormSheet
+	sheetN  int
+	sheetOK bool
+	edgeBlk []edgeBlock // per owned edge: sheet index and lane groups
 
 	// msgArena holds the reusable outgoing payload buffers, 4 words (the
 	// bandwidth cap) per neighbor, two arenas alternating by round
@@ -620,10 +614,8 @@ type nodeState struct {
 
 // edgeBlock locates one owned conflict edge's coins on this node's
 // residual sheets: both endpoints' form groups live on the same sheet,
-// so one gather serves the marginal and the joint walks. mv indexes the
-// neighbor's marginal pair in the table evalPhaseBit reads: the
-// neighbor's slot in the hub's per-bit table, or the edge's own
-// position in pvBuf on the per-node path.
+// so one gather serves the marginal and the joint walks. mv is the
+// neighbor's slot in the hub's per-bit marginal table.
 type edgeBlock struct {
 	sheet  int32
 	mv     int32
@@ -832,8 +824,8 @@ func (ns *nodeState) loop(startIter int) {
 		case ns.hub != nil:
 			ns.sleepIteration()
 		default:
-			// The per-node loops' aggregation waves need colored nodes as
-			// tree relays, so they tick through the iteration.
+			// refEval only: its real aggregation waves need colored nodes
+			// as tree relays, so they tick through the iteration.
 			ns.partialIteration(iter)
 		}
 	}
@@ -1063,19 +1055,17 @@ func (ns *nodeState) applyFinals(in []congest.Incoming) {
 // runPhase fixes the ℓ-th prefix bit of every node deterministically
 // (Lemma 2.6): exchange (k1, |L|, ψ) with conflict neighbors, then fix
 // the D seed bits one by one — each by one tree aggregation of the two
-// conditional expectations — and finally extend prefixes and prune the
+// conditional expectations, which the component's phase hub runs
+// centrally (runPhaseBulk) — and finally extend prefixes and prune the
 // conflict graph.
 //
 // This is the derandomization hot path, restructured for the steady
 // state: coin forms come from the per-run caches (only thresholds change
-// per phase), the seed-bit basis contains nothing but fixed bits — which
-// the gf2.Basis representation folds in O(1) instead of one elimination
-// row per already-fixed bit — both β branches of an edge are evaluated
-// back-to-back against that incrementally maintained basis, and every
-// buffer (payloads, aggregation vector, basis storage) is reused, so a
-// phase allocates nothing once the caches are warm. runPhaseRef keeps
-// the pre-optimization evaluation path; the two must produce
-// bit-identical seeds, potentials, and traffic.
+// per phase), the owned edges' form residuals live on incrementally
+// folded sheets, and every buffer (payloads, sheets, aggregation
+// vector) is reused, so a phase allocates nothing once the caches are
+// warm. runPhaseRef keeps the pre-optimization evaluation path; the two
+// must produce bit-identical seeds, potentials, and traffic.
 func (ns *nodeState) runPhase(iter, l int) {
 	deg := ns.ctx.Degree()
 	bitPos := ns.p.LogC - l
@@ -1137,59 +1127,22 @@ func (ns *nodeState) runPhase(iter, l int) {
 
 	// Stash the seed-bit loop's inputs and lay the owned edges' form
 	// residuals out as incrementally folded sheets (the bit-sliced block
-	// path; evalPhaseBit falls back to the scalar kernels when the
-	// layout doesn't apply).
+	// path; evalPhaseBit uses the scalar kernel when the layout doesn't
+	// apply). The hub then runs the whole seed-bit segment centrally and
+	// returns the component's seed (bulk.go).
 	ns.phK1, ns.phK0, ns.phMyCoin = k1, k0, myCoin
 	ns.buildSheets(myCoin)
-
-	if ns.hub != nil {
-		// Bulk path: the hub runs the whole seed-bit segment centrally
-		// and returns the component's seed (bulk.go).
-		seed := ns.runPhaseBulk()
-		ns.finishPhase(iter, l, bitPos, myCoin, seed)
-		return
-	}
-
-	// Per-node path: fix the D seed bits by the method of conditional
-	// expectations, one tree aggregation per bit.
-	basis := &ns.phaseBasis
-	basis.Reset()
-	var seed gf2.Vec128
-	for j := 0; j < ns.p.D; j++ {
-		var x0, x1 float64
-		if ns.alive {
-			// One symbolic conditioning on seed bit j serves every owned
-			// edge and both β branches: the basis holds only the already
-			// chosen bits 0..j−1, so bit j is always free to split. The
-			// clone-and-FixBit fallback keeps the evaluation total if that
-			// ever stopped holding.
-			sb, split := basis.Split(j)
-			x0, x1 = ns.evalPhaseBit(j, basis, sb, split, nil)
-			if split {
-				sb.Release()
-			}
-		}
-		totals := ns.converge(x0, x1)
-		// All nodes see identical totals, so the argmin choice needs no
-		// extra broadcast; ties go to 0.
-		rj := totals[1] < totals[0]
-		if !basis.FixBit(j, rj) {
-			panic("core: chosen seed bit inconsistent")
-		}
-		ns.foldSheets(j, rj)
-		seed = seed.WithBit(j, rj)
-	}
-
-	ns.finishPhase(iter, l, bitPos, myCoin, seed)
+	ns.finishPhase(iter, l, bitPos, myCoin, ns.runPhaseBulk())
 }
 
 // buildSheets lays this phase's owned-edge coin forms out on residual
 // sheets: each sheet carries this node's form group once plus as many
 // neighbor groups as fit, in owned-edge order, so one sheet's neighbor
-// coins are a contiguous run of owned edges. Any group that cannot lie
-// on a sheet (wide masks, B > 32) clears sheetOK and the whole node
-// falls back to the scalar kernels — never a mixed layout, which keeps
-// the fallback decision identical across bits.
+// coins are a contiguous run of owned edges. D ≤ 64 keeps every mask in
+// the low word and B ≤ 32, so the own group and a neighbor group always
+// share a fresh sheet; a group AddForms still refused would clear
+// sheetOK and send the whole node to the scalar kernel — never a mixed
+// layout, which keeps the tier identical across bits.
 func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 	ns.sheetN = 0
 	ns.edgeBlk = ns.edgeBlk[:0]
@@ -1219,14 +1172,10 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 			ns.sheetOK, ns.sheetN = false, 0
 			return
 		}
-		mv := int32(len(ns.edgeBlk))
-		if ns.hub != nil {
-			mv = int32(ns.rankOf[nbrs[i]])
-		}
 		cv := ns.nbrCoins[i]
 		ns.edgeBlk = append(ns.edgeBlk, edgeBlock{
 			sheet: int32(ns.sheetN - 1),
-			mv:    mv,
+			mv:    int32(ns.rankOf[nbrs[i]]),
 			cu:    cu,
 			cv:    gf2.BlockCoin{Lane: lane, B: cv.Bits(), T: cv.Threshold()},
 		})
@@ -1234,15 +1183,6 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 	for k := 0; k < ns.sheetN; k++ {
 		ns.sheets[k].Seal()
 	}
-	if ns.hub != nil {
-		return // the hub's per-bit table supplies the neighbor marginals
-	}
-	n := len(ns.ownedIdx)
-	if cap(ns.pvBuf) < n {
-		ns.pvBuf = make([]gf2.ProbPair, n)
-		ns.blockReq = make([]gf2.BlockCoin, 0, n)
-	}
-	ns.pvBuf = ns.pvBuf[:n]
 }
 
 // nextSheet returns the next reusable sheet, reset.
@@ -1268,28 +1208,19 @@ func (ns *nodeState) foldSheets(j int, rj bool) {
 }
 
 // evalPhaseBit sums this node's owned-edge contributions to the two
-// conditional expectations of seed bit j — E[X | bit=0] and E[X | bit=1]
-// — accumulated in owned-edge order. sb/split is the caller's symbolic
-// conditioning of basis on bit j (the per-node loop splits its own
-// basis; each hub band splits the one shared basis — the same pure
-// function of the same fixed-bit history either way).
+// conditional expectations of the seed bit sb splits — E[X | bit=0] and
+// E[X | bit=1] — accumulated in owned-edge order. marg is the hub's
+// per-bit table of every slot's own-coin marginal pair (ownMarginal),
+// read by neighbor slot.
 //
-// marg is the hub's per-bit table of every slot's own-coin marginal
-// pair (ownMarginal), read by neighbor slot; nil on the per-node path,
-// which computes its neighbors' marginals on its own sheets instead.
-// Either way each value is the same exact dyadic.
-//
-// Three evaluation tiers, outermost first, each bit-identical to the
-// next (the differential and fuzz suites pin all of them against
-// runPhaseRef): the batched sheet path — the joint block kernel per
-// edge against the neighbor's marginal; the scalar split path; and the
-// clone-and-FixBit fallback when the bit isn't free to split.
-func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, split bool, marg []gf2.ProbPair) (x0, x1 float64) {
+// Two evaluation tiers, bit-identical to each other and to runPhaseRef
+// (the differential and fuzz suites pin both): the batched sheet path —
+// the joint block kernel per edge against the neighbor's marginal —
+// for D ≤ 64, and the scalar split kernel for nodes whose forms no
+// sheet can carry (D > 64).
+func (ns *nodeState) evalPhaseBit(sb *gf2.SplitBasis, marg []gf2.ProbPair) (x0, x1 float64) {
 	k1, k0 := ns.phK1, ns.phK0
-	if split && ns.sheetOK {
-		if marg == nil {
-			marg = ns.neighborMarginals(sb)
-		}
+	if ns.sheetOK {
 		// Joint probabilities and the Lemma 2.2 terms, in owned order —
 		// the same accumulation order as the scalar path.
 		for ei, i := range ns.ownedIdx {
@@ -1302,45 +1233,13 @@ func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, s
 		}
 		return x0, x1
 	}
-	myCoin := ns.phMyCoin
 	for _, i := range ns.ownedIdx {
 		k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-		if split {
-			e0, e1 := EdgeExpectationSplit(sb, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
-			x0 += e0
-			x1 += e1
-			continue
-		}
-		bs2 := basis.CloneInto(&ns.basisTmp)
-		if !bs2.FixBit(j, false) {
-			panic("core: seed bit re-fix inconsistent")
-		}
-		x0 += EdgeExpectation(bs2, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
-		bs2 = basis.CloneInto(&ns.basisTmp)
-		if !bs2.FixBit(j, true) {
-			panic("core: seed bit re-fix inconsistent")
-		}
-		x1 += EdgeExpectation(bs2, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
+		e0, e1 := EdgeExpectationSplit(sb, ns.phMyCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
+		x0 += e0
+		x1 += e1
 	}
 	return x0, x1
-}
-
-// neighborMarginals fills pvBuf with every owned edge's neighbor
-// marginal pair under sb's split bit, computed on this node's own
-// sheets: one block call per sheet (a sheet's edges are contiguous in
-// owned order). The per-node path's stand-in for the hub's table.
-func (ns *nodeState) neighborMarginals(sb *gf2.SplitBasis) []gf2.ProbPair {
-	for s := 0; s < len(ns.edgeBlk); {
-		sh := ns.edgeBlk[s].sheet
-		reqs := ns.blockReq[:0]
-		e := s
-		for ; e < len(ns.edgeBlk) && ns.edgeBlk[e].sheet == sh; e++ {
-			reqs = append(reqs, ns.edgeBlk[e].cv)
-		}
-		sb.ProbOnePairBlock(ns.sheets[sh], reqs, ns.pvBuf[s:e])
-		s = e
-	}
-	return ns.pvBuf
 }
 
 // ownMarginal returns this node's own coin marginal under both

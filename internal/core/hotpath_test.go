@@ -85,51 +85,55 @@ func disjointStarPath(t *testing.T) *graph.Graph {
 // built, basis and scratch pooled, split bases recycled), evaluating a
 // seed bit's conditional expectations over a set of edges must not
 // allocate. Before the hot-path rework this step allocated hundreds of
-// objects (fresh forms, coins, and basis rows per edge per bit).
+// objects (fresh forms, coins, and basis rows per edge per bit). The
+// 33-bit family is the scalar kernel's production input, seeds longer
+// than 64 bits; the 12-bit one keeps its walks on single-word masks.
 func TestPhaseStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops cached objects under -race; allocation counts are meaningless")
 	}
-	fam := gf2.MustFamily(12, 2)
-	const b = 9
-	// Cached forms, as nodeState keeps them across phases.
-	myForms := fam.OutputForms(5, b)
-	nbrForms := [][]gf2.Form{
-		fam.OutputForms(9, b),
-		fam.OutputForms(21, b),
-		fam.OutputForms(33, b),
-	}
-	basis := gf2.NewBasis()
-	basis.FixBit(0, true)
-	basis.FixBit(1, false)
+	for _, m := range []int{12, 33} {
+		fam := gf2.MustFamily(m, 2)
+		const b = 9
+		// Cached forms, as nodeState keeps them across phases.
+		myForms := fam.OutputForms(5, b)
+		nbrForms := [][]gf2.Form{
+			fam.OutputForms(9, b),
+			fam.OutputForms(21, b),
+			fam.OutputForms(33, b),
+		}
+		basis := gf2.NewBasis()
+		basis.FixBit(0, true)
+		basis.FixBit(1, false)
 
-	myCoin, err := gf2.NewCoinFromForms(myForms, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nbrCoins []gf2.Coin
-	for i, fs := range nbrForms {
-		c, err := gf2.NewCoinFromForms(fs, uint64(2+i), 6)
+		myCoin, err := gf2.NewCoinFromForms(myForms, 3, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nbrCoins = append(nbrCoins, c)
-	}
-
-	step := func() {
-		for j := 2; j < 10; j++ {
-			sb, ok := basis.Split(j)
-			if !ok {
-				t.Fatal("split refused")
+		var nbrCoins []gf2.Coin
+		for i, fs := range nbrForms {
+			c, err := gf2.NewCoinFromForms(fs, uint64(2+i), 6)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, cv := range nbrCoins {
-				EdgeExpectationSplit(sb, myCoin, cv, 3, 4, 2, 4)
-			}
-			sb.Release()
+			nbrCoins = append(nbrCoins, c)
 		}
-	}
-	step() // warm the pools
-	if n := testing.AllocsPerRun(50, step); n > 0 {
-		t.Fatalf("steady-state phase step allocates %v objects per run, want 0", n)
+
+		step := func() {
+			for j := 2; j < 10; j++ {
+				sb, ok := basis.Split(j)
+				if !ok {
+					t.Fatal("split refused")
+				}
+				for _, cv := range nbrCoins {
+					EdgeExpectationSplit(sb, myCoin, cv, 3, 4, 2, 4)
+				}
+				sb.Release()
+			}
+		}
+		step() // warm the pools
+		if n := testing.AllocsPerRun(50, step); n > 0 {
+			t.Fatalf("m=%d: steady-state phase step allocates %v objects per run, want 0", m, n)
+		}
 	}
 }

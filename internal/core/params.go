@@ -73,15 +73,9 @@ type Options struct {
 	// refEval routes every derandomization phase through the
 	// pre-optimization evaluation path (runPhaseRef), with every seed
 	// bit's tree aggregation run for real (no phase hubs). Test-only:
-	// the differential tests pin that the optimized hot path reproduces
-	// the reference bit for bit.
+	// the differential tests pin that the phase hub reproduces the
+	// reference — seeds, potentials and charged traffic — bit for bit.
 	refEval bool
-
-	// noBulk disables the per-component bulk seed-bit aggregation
-	// (phaseHub) so every seed bit runs its distributed tree aggregation
-	// for real. Test-only: the differential tests pin that the bulk path
-	// reproduces the distributed execution bit for bit.
-	noBulk bool
 
 	// crashIter/crashNode inject a fault: when crashIter > 0, node
 	// crashNode's program panics at the top of iteration crashIter−1,

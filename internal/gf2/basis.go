@@ -250,6 +250,16 @@ func ProbLess(bs *Basis, forms []Form, t uint64) float64 {
 // constraint insertion — the ProbOf+Add pair of the naive walk reduced
 // the same form twice. The accumulated terms and their order are
 // identical to the naive walk, so results are bit-identical.
+//
+// The float rule of every walk in this package (ProbConj and the
+// split and block walks keep condProb the same way): condProb starts
+// at 1 and is only ever halved, at most once per form of a ≤ 63-form
+// coin, so it and condProb·0.5 are powers of two no smaller than 2⁻⁶⁴,
+// and their product with a probability is exact. So where arm64,
+// ppc64le, s390x or riscv64 fuse p += condProb*q into one multiply-add,
+// its single rounding equals the separate ops' bits on amd64. A new
+// float product keeps one factor a power of two, or rounds explicitly
+// with a float64 conversion, as core's edgeCombine does.
 func probLessInPlace(w *Basis, forms []Form, t uint64) float64 {
 	b := len(forms)
 	if t == 0 {

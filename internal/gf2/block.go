@@ -24,12 +24,12 @@ import "math/bits"
 // its branch-0 bit XOR its bitp[j] bit, which is how one word op
 // carries both β branches of the whole block.
 //
-// A sheet represents residuals against the *fixed bits* of a basis
-// only; the gather path re-applies any source rows (loRowReduce), so
-// block results stay bit-identical to the scalar loReduce path in
-// every case. Sheets hold whatever form groups the caller lays out —
-// the phase loop packs a node's own coin plus the coins of its owned
-// conflict edges' neighbors.
+// A sheet represents residuals against the *fixed bits* of a basis,
+// which is all a Split result holds, so a sheet folded in step with the
+// split basis gathers exactly the residuals loReduce derives. Sheets
+// hold whatever form groups the caller lays out — the phase loop packs
+// a node's own coin plus the coins of its owned conflict edges'
+// neighbors.
 type FormSheet struct {
 	lane [64]uint64
 	bitp [64]uint64
@@ -136,33 +136,29 @@ type ProbPair struct {
 // bit, branch 0's right-hand side is the lane's rhs-plane bit, and
 // branch 1 differs by the lane's split-plane bit — the same bytes
 // loReduce packs. The sheet must have folded exactly this basis's
-// fixed bits; any source rows are re-applied here.
+// fixed bits.
 //
 //sbw:allocfree phase-step kernel: residual gather feeding the block walks
 func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loResid) {
 	split := uint(bits.TrailingZeros64(sb.split.Lo))
-	haveRows := len(sb.rows) > 0
 	for i := 0; i < b; i++ {
 		l := uint(lane + i)
 		w := sheet.lane[l]
 		m := w &^ (uint64(1) << split)
 		r0 := uint8(sheet.rhs >> l & 1)
 		rhs := r0 | (r0^uint8(w>>split&1))<<1
-		if haveRows {
-			m, rhs = sb.loRowReduce(m, rhs)
-		}
 		out[i] = loResid{mask: m, rhs: rhs}
 	}
 }
 
 // ProbOnePairBlock is ProbOnePair over a block of coins laid out on a
 // sheet: out[k] receives both branch marginals of reqs[k]. The phase
-// loop uses it to fill every pending marginal-memo key of a band in
-// one call. Requires a low-word split (split bit < 64) and a sheet
-// folded in step with this basis; each result is bit-identical to
-// ProbOnePair on the coin.
+// hub uses it for each read node's own-coin entry in its per-bit
+// marginal table. Requires a low-word split (split bit < 64) and a
+// sheet folded in step with this basis; each result is bit-identical
+// to ProbOnePair on the coin.
 //
-//sbw:allocfree phase-step kernel: batched neighbor marginals, the memo batch-fill path
+//sbw:allocfree phase-step kernel: a sheeted node's own-coin marginal, once per seed bit
 func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out []ProbPair) {
 	for k := range reqs {
 		rq := reqs[k]
@@ -181,12 +177,13 @@ func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out [
 	}
 }
 
-// EdgePairBlock is EdgePairGivenMarginal with both coins read from a
-// sheet: it returns C1's marginal and the joint probabilities under
-// both branches, with C2's marginal (pv0/pv1) supplied by the caller —
-// typically from the memo ProbOnePairBlock just filled. Preconditions
-// as for ProbOnePairBlock; results are bit-identical to the scalar
-// call on the same coins.
+// EdgePairBlock is EdgePair with both coins read from a sheet and C2's
+// marginal walk skipped: it returns C1's marginal and the joint
+// probabilities under both branches (EdgePair's p1u0, p110, p1u1 and
+// p111), with C2's marginal (pv0/pv1) supplied by the caller — the
+// hub's per-bit table, filled by ProbOnePairBlock. Preconditions as for
+// ProbOnePairBlock; results are bit-identical to EdgePair on the same
+// coins.
 //
 //sbw:allocfree phase-step kernel: batched joint edge probabilities
 func (sb *SplitBasis) EdgePairBlock(sheet *FormSheet, cu, cv BlockCoin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {

@@ -170,7 +170,7 @@ func TestFormSheetBlockMatchesScalar(t *testing.T) {
 			// Batched joint probabilities vs the scalar walk.
 			for i := 0; i < nNbr; i++ {
 				g1u0, g110, g1u1, g111 := sb.EdgePairBlock(&sheet, bc(0), bc(1+i), out[i].P0, out[i].P1)
-				w1u0, w110, w1u1, w111 := sb.EdgePairGivenMarginal(coins[0], coins[1+i], out[i].P0, out[i].P1)
+				w1u0, _, w110, w1u1, _, w111 := sb.EdgePair(coins[0], coins[1+i])
 				if g1u0 != w1u0 || g110 != w110 || g1u1 != w1u1 || g111 != w111 {
 					t.Fatalf("trial %d bit %d nbr %d: EdgePairBlock (%v %v | %v %v), scalar (%v %v | %v %v)",
 						trial, j, i, g1u0, g110, g1u1, g111, w1u0, w110, w1u1, w111)

@@ -206,8 +206,7 @@ func (nb *naiveBasis) probLess(forms []Form, t uint64) float64 {
 
 // TestSplitMatchesFixedBit: Split + the pair queries must reproduce the
 // two-pass Clone+FixBit evaluation bit for bit, across random bases,
-// coins, and split bits — including the EdgePair / EdgePairGivenMarginal
-// fused forms.
+// coins, and split bits — including the fused EdgePair form.
 func TestSplitMatchesFixedBit(t *testing.T) {
 	src := prng.New(99)
 	for trial := 0; trial < 600; trial++ {
@@ -276,32 +275,27 @@ func TestSplitMatchesFixedBit(t *testing.T) {
 		if q0 != want[0][1] || q1 != want[1][1] {
 			t.Fatalf("trial %d: ProbOnePair (%v %v), want (%v %v)", trial, q0, q1, want[0][1], want[1][1])
 		}
-		ju0, j110, ju1, j111 := sb.EdgePairGivenMarginal(c1, c2, q0, q1)
-		if ju0 != want[0][0] || j110 != want[0][2] || ju1 != want[1][0] || j111 != want[1][2] {
-			t.Fatalf("trial %d: EdgePairGivenMarginal (%v %v | %v %v), want (%v %v | %v %v)",
-				trial, ju0, j110, ju1, j111, want[0][0], want[0][2], want[1][0], want[1][2])
-		}
 		sb.Release()
 	}
 }
 
 // TestSplitRefusesTouchedBit: Split must refuse a bit the basis already
-// constrains.
+// fixes, and any basis holding an echelon row.
 func TestSplitRefusesTouchedBit(t *testing.T) {
 	bs := NewBasis()
 	bs.FixBit(3, true)
 	if _, ok := bs.Split(3); ok {
 		t.Fatal("Split accepted an already-fixed bit")
 	}
-	bs2 := NewBasis()
-	bs2.Add(Form{Mask: UnitVec(1).Xor(UnitVec(5))}, true)
-	if _, ok := bs2.Split(5); ok {
-		t.Fatal("Split accepted a bit present in a row")
-	}
-	if sb, ok := bs2.Split(7); !ok {
+	if sb, ok := bs.Split(7); !ok {
 		t.Fatal("Split refused an untouched bit")
 	} else {
 		sb.Release()
+	}
+	bs2 := NewBasis()
+	bs2.Add(Form{Mask: UnitVec(1).Xor(UnitVec(5))}, true)
+	if _, ok := bs2.Split(7); ok {
+		t.Fatal("Split accepted a basis with an echelon row")
 	}
 }
 

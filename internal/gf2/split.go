@@ -28,7 +28,9 @@ type SplitBasis struct {
 	fixedMask Vec128 // fixed bits of the source basis plus the split bit
 	fixedVals Vec128 // branch-0 values; branch 1 differs exactly at split
 	split     Vec128 // unit vector at the split bit
-	rows      []splitRow
+	// rows is empty on every Split result (Split takes fixed bits only);
+	// only the pooled clone a ProbLess walk consumes adds rows.
+	rows []splitRow
 	// hiRows: some row mask has bits ≥ 64 (conservative; false enables
 	// the single-word reduction path for low-word forms).
 	hiRows bool
@@ -39,10 +41,9 @@ type SplitBasis struct {
 	fuRows [64]splitRow
 	inner  [64]splitRow
 
-	// Single-word EdgePair scratch (see loEdgePair). resLoU holds C1's
-	// residuals for the joint walks, so C2's residuals in resLo survive
-	// the walk; the block kernels gather sheet residuals into the same
-	// two arrays.
+	// Single-word walk scratch for the block kernels and ProbOnePair.
+	// resLoU holds C1's residuals for the joint walks, so C2's residuals
+	// in resLo survive the walk.
 	resLo   [64]loResid
 	resLoU  [64]loResid
 	fuLo    loRows
@@ -50,9 +51,9 @@ type SplitBasis struct {
 }
 
 // loRow / loResid are the compact single-word forms of splitRow /
-// residPair used by loEdgePair when every mask fits the low word: the
-// two branch right-hand sides pack into one byte (bit 0 = branch 0,
-// bit 1 = branch 1), so a row elimination is two XORs.
+// residPair used when every mask fits the low word: the two branch
+// right-hand sides pack into one byte (bit 0 = branch 0, bit 1 =
+// branch 1), so a row elimination is two XORs.
 type loRow struct {
 	mask uint64
 	rhs  uint8
@@ -116,33 +117,24 @@ var splitPool = sync.Pool{New: func() any { return new(SplitBasis) }}
 
 // Split conditions the basis on seed bit `bit` symbolically, returning a
 // SplitBasis whose branch 0 is "basis ∧ bit=0" and branch 1 is
-// "basis ∧ bit=1". It requires the bit to be untouched by the basis —
-// not fixed and absent from every row — which is exactly the state of
-// the conditional-expectation loop's candidate bit (bits are examined in
+// "basis ∧ bit=1". It requires a basis of fixed bits only — no echelon
+// row — with the bit not among them, which is exactly the state of the
+// conditional-expectation loop's candidate bit (bits are examined in
 // order and only earlier ones are fixed); ok reports whether that held.
 // Release the result with Release when done.
 //
-//sbw:allocfree Theorem 1.1 phase-step kernel: one Split per seed bit per node per phase
+//sbw:allocfree Theorem 1.1 phase-step kernel: one Split per seed bit per hub band per phase
 func (bs *Basis) Split(bit int) (sb *SplitBasis, ok bool) {
 	u := UnitVec(bit)
-	if !bs.fixedMask.And(u).IsZero() {
+	if len(bs.rows) > 0 || !bs.fixedMask.And(u).IsZero() {
 		return nil, false
-	}
-	for i := range bs.rows {
-		if !bs.rows[i].mask.And(u).IsZero() {
-			return nil, false
-		}
 	}
 	sb = splitPool.Get().(*SplitBasis)
 	sb.fixedMask = bs.fixedMask.Xor(u)
 	sb.fixedVals = bs.fixedVals // branch 0: split bit = 0
 	sb.split = u
 	sb.rows = sb.rows[:0]
-	sb.hiRows = bs.hiRows
-	for i := range bs.rows {
-		r := &bs.rows[i]
-		sb.rows = append(sb.rows, splitRow{mask: r.mask, piv: UnitVec(r.pivot), rhs0: r.rhs, rhs1: r.rhs}) //sbw:allocok amortized: sb comes from splitPool with its row capacity retained; TestPhaseStepAllocFree pins the steady state at 0 allocs
-	}
+	sb.hiRows = false
 	return sb, true
 }
 
@@ -402,14 +394,13 @@ func innerPairWalk(rows *[64]splitRow, res []residPair, t uint64, atom *splitRow
 // walk of the joint query (updated incrementally as the outer walk adds
 // prefix rows), and all walk rows live on the stack. Every output is
 // bit-identical to the corresponding single-query evaluations
-// (ProbOnePair, and ProbBothLessMarginal on a conditioned Basis).
+// (ProbOnePair, and ProbBothLessMarginal on a conditioned Basis). The
+// walk runs on two-word masks: its phase-loop caller is the scalar tier
+// for seeds longer than 64 bits, which no sheet can carry.
 //
 //sbw:allocfree phase-step kernel: six edge probabilities per owned edge per seed bit
 func (sb *SplitBasis) EdgePair(c1, c2 Coin) (p1u0, p1v0, p110, p1u1, p1v1, p111 float64) {
 	fu, tu, fv, tv := c1.forms, c1.t, c2.forms, c2.t
-	if !sb.hiRows && c1.lo && c2.lo {
-		return sb.loEdgePair(fu, tu, fv, tv)
-	}
 	bu, bv := len(fu), len(fv)
 
 	res := sb.res[:bv]
@@ -523,9 +514,10 @@ func formsLo(fs []Form) bool {
 }
 
 // loReduce is the single-word residual of a form against the
-// conditioned basis: mask must fit the low word and no row may have
-// high bits. The returned byte packs the branch right-hand sides of
-// "form = false" (bit 0 = branch 0, bit 1 = branch 1).
+// conditioned basis: mask must fit the low word, and the basis must be
+// a Split result, whose constraints are all fixed bits. The returned
+// byte packs the branch right-hand sides of "form = false" (bit 0 =
+// branch 0, bit 1 = branch 1).
 func (sb *SplitBasis) loReduce(mask uint64, c bool) (uint64, uint8) {
 	var rhs uint8
 	if c {
@@ -539,26 +531,6 @@ func (sb *SplitBasis) loReduce(mask uint64, c bool) (uint64, uint8) {
 			rhs ^= 2
 		}
 		mask &^= sb.fixedMask.Lo
-	}
-	return sb.loRowReduce(mask, rhs)
-}
-
-// loRowReduce eliminates the source basis rows from an already
-// fixed-bit-reduced residual — the row half of loReduce, shared with
-// the sheet gather path (whose planes fold the fixed bits but cannot
-// know the rows).
-func (sb *SplitBasis) loRowReduce(mask uint64, rhs uint8) (uint64, uint8) {
-	for i := range sb.rows {
-		r := &sb.rows[i]
-		if mask&r.piv.Lo != 0 {
-			mask ^= r.mask.Lo
-			if r.rhs0 {
-				rhs ^= 1
-			}
-			if r.rhs1 {
-				rhs ^= 2
-			}
-		}
 	}
 	return mask, rhs
 }
@@ -626,95 +598,14 @@ func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs u
 	return p0, p1
 }
 
-// loEdgePair is EdgePair on the compact single-word representation —
-// the steady state of every practical parameterization (seed length
-// k·m ≤ 64). Walk for walk and term for term it mirrors the generic
-// path, so results are bit-identical.
-func (sb *SplitBasis) loEdgePair(fu []Form, tu uint64, fv []Form, tv uint64) (p1u0, p1v0, p110, p1u1, p1v1, p111 float64) {
-	bu, bv := len(fu), len(fv)
-	res := sb.resLo[:bv]
-	fvWalkable := tv > 0 && tv < uint64(1)<<bv
-	if fvWalkable {
-		for i, fo := range fv {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			res[i] = loResid{mask: m, rhs: rhs}
-		}
-		p1v0, p1v1 = loInnerWalk(&sb.innerLo, res, tv, 0, 0, false, 3)
-	} else if tv != 0 {
-		p1v0, p1v1 = 1, 1
-	}
-
-	if tu == 0 {
-		return 0, p1v0, 0, 0, p1v1, 0
-	}
-	if tu >= uint64(1)<<bu {
-		// C1 always 1: the joint walk degenerates to C2's marginal.
-		return 1, p1v0, p1v0, 1, p1v1, p1v1
-	}
-	if tv == 0 {
-		resU := sb.resLo[:bu]
-		for i, fo := range fu {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			resU[i] = loResid{mask: m, rhs: rhs}
-		}
-		p1u0, p1u1 = loInnerWalk(&sb.innerLo, resU, tu, 0, 0, false, 3)
-		return p1u0, 0, 0, p1u1, 0, 0
-	}
-
-	p1u0, p110, p1u1, p111 = sb.loJointWalk(fu, tu, res, tv, fvWalkable)
-	return p1u0, p1v0, p110, p1u1, p1v1, p111
-}
-
-// loJointPair is loEdgePair minus C2's marginal walk, for callers that
-// already hold the marginal (pv0/pv1, used only by the tu ≥ 2^b
-// boundary, where the joint equals it).
-func (sb *SplitBasis) loJointPair(fu []Form, tu uint64, fv []Form, tv uint64, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
-	bu, bv := len(fu), len(fv)
-	if tu == 0 {
-		return 0, 0, 0, 0
-	}
-	if tu >= uint64(1)<<bu {
-		return 1, pv0, 1, pv1
-	}
-	if tv == 0 {
-		resU := sb.resLo[:bu]
-		for i, fo := range fu {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			resU[i] = loResid{mask: m, rhs: rhs}
-		}
-		p1u0, p1u1 = loInnerWalk(&sb.innerLo, resU, tu, 0, 0, false, 3)
-		return p1u0, 0, p1u1, 0
-	}
-	res := sb.resLo[:bv]
-	fvWalkable := tv < uint64(1)<<bv
-	if fvWalkable {
-		for i, fo := range fv {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			res[i] = loResid{mask: m, rhs: rhs}
-		}
-	}
-	return sb.loJointWalk(fu, tu, res, tv, fvWalkable)
-}
-
-// loJointWalk is the joint walk over C1's threshold decomposition, with
-// C2's residuals (against the conditioned basis) updated in step with
-// the accumulated prefix rows. C1's residuals against the conditioned
-// basis depend only on the basis — never on the prefix rows the walk
-// accumulates — so they are computed up front (which is also where the
-// sheet-gathered block path joins) and the walk proper reduces them
-// only against its own rows.
-func (sb *SplitBasis) loJointWalk(fu []Form, tu uint64, res []loResid, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
-	resU := sb.resLoU[:len(fu)]
-	for i := range fu {
-		m, rhs := sb.loReduce(fu[i].Mask.Lo, fu[i].Const)
-		resU[i] = loResid{mask: m, rhs: rhs}
-	}
-	return sb.loJointWalkResid(resU, tu, res, tv, fvWalkable)
-}
-
-// loJointWalkResid is loJointWalk over precomputed C1 residuals.
+// loJointWalkResid is the joint walk over C1's threshold decomposition
+// on the compact single-word rows: resU holds C1's residuals against
+// the conditioned basis, and C2's residuals res are updated in step
+// with the prefix rows the walk accumulates. Walk for walk and term for
+// term it mirrors EdgePair's two-word joint walk, so results are
+// bit-identical.
 //
-//sbw:allocfree phase-step kernel: the joint walk shared by the scalar and block paths
+//sbw:allocfree phase-step kernel: the block path's joint walk
 func (sb *SplitBasis) loJointWalkResid(resU []loResid, tu uint64, res []loResid, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
 	bu, bv := len(resU), len(res)
 	fuRows := &sb.fuLo
@@ -794,7 +685,7 @@ func (sb *SplitBasis) probLessPairClone(forms []Form, t uint64) (float64, float6
 
 // ProbOnePair returns Pr[C = 1] under branch 0 and branch 1.
 //
-//sbw:allocfree phase-step kernel: neighbor-marginal walk, memo-miss path
+//sbw:allocfree phase-step kernel: the own-coin marginal of a sheetless node, once per seed bit
 func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
 	if c.t == 0 {
 		return 0, 0
@@ -802,7 +693,7 @@ func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
 	if c.t >= uint64(1)<<c.b {
 		return 1, 1
 	}
-	if !sb.hiRows && c.lo {
+	if c.lo {
 		res := sb.resLo[:c.b]
 		for i, fo := range c.forms {
 			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
@@ -814,20 +705,4 @@ func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
 	p0, p1 = probLessPairInPlace(w, c.forms, c.t, true, true)
 	w.Release()
 	return p0, p1
-}
-
-// EdgePairGivenMarginal is EdgePair with C2's marginal supplied by the
-// caller (typically from a memo of this pure function of the coin and
-// the conditioning): it returns only the C1 marginal and the joint
-// probabilities, skipping C2's marginal walk. pv0/pv1 must equal
-// ProbOnePair(c2) under this basis — the tu ≥ 2^b boundary reuses them.
-//
-//sbw:allocfree phase-step kernel: memo-hit variant of EdgePair
-func (sb *SplitBasis) EdgePairGivenMarginal(c1, c2 Coin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
-	if !sb.hiRows && c1.lo && c2.lo {
-		return sb.loJointPair(c1.forms, c1.t, c2.forms, c2.t, pv0, pv1)
-	}
-	// Generic fallback: recompute the marginal along the way (cold path).
-	p1u0, _, p110, p1u1, _, p111 = sb.EdgePair(c1, c2)
-	return p1u0, p110, p1u1, p111
 }
