@@ -405,7 +405,7 @@ func BenchmarkFamilyEval(b *testing.B) {
 // branches in one call. Its production input is a seed longer than 64
 // bits, whose high-word forms no residual sheet can carry, so the
 // benchmark runs the 33-bit family (a 66-bit seed);
-// BenchmarkEdgePairBlock measures the sheet path every shorter seed
+// BenchmarkDenseNodeBlock measures the sheet path every shorter seed
 // takes.
 func BenchmarkEdgeExpectation(b *testing.B) {
 	fam := gf2.MustFamily(33, 2)
@@ -437,43 +437,61 @@ func BenchmarkEdgeExpectation(b *testing.B) {
 	sinkFloat64 = sink
 }
 
-// BenchmarkEdgePairBlock measures the bit-sliced replacement for the
-// per-edge split evaluation: a sealed residual sheet carrying one owner
-// coin and several neighbor coins, one batched marginal fill, the
-// per-edge joint walks, and the incremental per-bit plane fold —
-// everything the restructured phase loop runs per seed bit for one
-// sheet, amortized per edge.
-func BenchmarkEdgePairBlock(b *testing.B) {
-	fam := gf2.MustFamily(13, 2)
-	const acc = 11
-	const nbrs = 4
-	var sheet gf2.FormSheet
+// BenchmarkDenseNodeBlock measures one congest-dense node's sheet work
+// per seed bit, the way the phase hub runs it: the RandomRegular(2000,
+// 16) input with lists deg+3 derives B = 10 of M = 11, so a node that
+// owns 8 conflict edges lays its coin and theirs out on two sheets
+// (the owner plus 5 neighbors, then the owner plus 3), with thresholds
+// k1·2^10/19. Each iteration is one seed bit: the neighbors' batched
+// marginals, one owner walk, its replay for the 8 edges, and the plane
+// folds; iterations cycle through all 22 bits, re-laying the sheets
+// after the last. ns/edge is the time per owned edge per seed bit.
+func BenchmarkDenseNodeBlock(b *testing.B) {
+	fam := gf2.MustFamily(11, 2)
+	const acc, lists = 10, 19
+	nbrX := [8]uint64{19, 23, 31, 41, 57, 73, 101, 137}
+	nbrK1 := [8]uint64{7, 10, 8, 11, 6, 12, 9, 5}
 	myForms := fam.OutputForms(7, acc)
-	myLane, ok := sheet.AddForms(myForms)
-	if !ok {
-		b.Fatal("AddForms refused")
-	}
-	myCoin, err := gf2.NewCoinFromForms(myForms, 3, 7)
+	myCoin, err := gf2.NewCoinFromForms(myForms, 9, lists)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cu := gf2.BlockCoin{Lane: myLane, B: myCoin.Bits(), T: myCoin.Threshold()}
-	var reqs [nbrs]gf2.BlockCoin
-	for i, x := range []uint64{19, 23, 31, 41} {
-		forms := fam.OutputForms(x, acc)
-		lane, ok := sheet.AddForms(forms)
-		if !ok {
-			b.Fatal("AddForms refused")
-		}
-		c, err := gf2.NewCoinFromForms(forms, uint64(3+i), 9)
+	var nbrForms [8][]gf2.Form
+	var cvs [8]gf2.BlockCoin
+	for k, x := range nbrX {
+		nbrForms[k] = fam.OutputForms(x, acc)
+		c, err := gf2.NewCoinFromForms(nbrForms[k], nbrK1[k], lists)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqs[i] = gf2.BlockCoin{Lane: lane, B: c.Bits(), T: c.Threshold()}
+		cvs[k] = gf2.BlockCoin{B: c.Bits(), T: c.Threshold()}
 	}
-	sheet.Seal()
+	var sheets [2]gf2.FormSheet
+	sheetOf := [8]int{0, 0, 0, 0, 0, 1, 1, 1}
+	var cu gf2.BlockCoin
+	lay := func() {
+		for s := range sheets {
+			sheets[s].Reset()
+			lane, ok := sheets[s].AddForms(myForms)
+			if !ok {
+				b.Fatal("AddForms refused")
+			}
+			cu = gf2.BlockCoin{Lane: lane, B: myCoin.Bits(), T: myCoin.Threshold()}
+		}
+		for k := range cvs {
+			lane, ok := sheets[sheetOf[k]].AddForms(nbrForms[k])
+			if !ok {
+				b.Fatal("AddForms refused")
+			}
+			cvs[k].Lane = lane
+		}
+		for s := range sheets {
+			sheets[s].Seal()
+		}
+	}
+	lay()
 	basis := gf2.NewBasis()
-	var out [nbrs]gf2.ProbPair
+	var pv [8]gf2.ProbPair
 	d := fam.SeedBits()
 	j := 0
 	b.ReportAllocs()
@@ -483,28 +501,25 @@ func BenchmarkEdgePairBlock(b *testing.B) {
 		if !ok {
 			b.Fatal("split refused")
 		}
-		sb.ProbOnePairBlock(&sheet, reqs[:], out[:])
-		for k := range reqs {
-			p1u0, p110, p1u1, p111 := sb.EdgePairBlock(&sheet, cu, reqs[k], out[k].P0, out[k].P1)
-			sink += p1u0 + p110 + p1u1 + p111
+		sb.ProbOnePairBlock(&sheets[0], cvs[:5], pv[:5])
+		sb.ProbOnePairBlock(&sheets[1], cvs[5:], pv[5:])
+		ow := sb.WalkOwner(&sheets[0], cu)
+		for k := range cvs {
+			p11 := ow.Joint(&sheets[sheetOf[k]], cvs[k], pv[k])
+			sink += p11.P0 + p11.P1
 		}
 		sb.Release()
 		rj := i%2 == 0
 		basis.FixBit(j, rj)
-		sheet.Fix(j, rj)
+		sheets[0].Fix(j, rj)
+		sheets[1].Fix(j, rj)
 		if j++; j == d {
 			j = 0
 			basis.Reset()
-			sheet.Reset()
-			myLane, _ = sheet.AddForms(myForms)
-			for k, x := range []uint64{19, 23, 31, 41} {
-				lane, _ := sheet.AddForms(fam.OutputForms(x, acc))
-				reqs[k].Lane = lane
-			}
-			cu.Lane = myLane
-			sheet.Seal()
+			lay()
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cvs)), "ns/edge")
 	sinkFloat64 = sink
 }
 

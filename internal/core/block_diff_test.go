@@ -166,6 +166,53 @@ func TestWideSeedHubMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDeadSeedBitsHubMatchesReference is TestWideSeedHubMatchesReference
+// on the sheet tier: each input's field is widened to M = B+3 by hand,
+// so seed bits B..M−1 are in no coin form and the hub fixes them to 0
+// without evaluating them, while D = 2M stays ≤ 64 and every node stays
+// on sheets. No input the other core tests derive has M > B, so this
+// is the sheet tier's check of that skip against the reference, which
+// evaluates every bit.
+func TestDeadSeedBitsHubMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"torus5x5", graph.Torus2D(5, 5)},
+		{"gnp48", graph.GNP(48, 0.12, 9)},
+		{"star40", graph.Star(40)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := graph.DeltaPlusOneInstance(tc.g)
+			if c := len(tc.g.ConnectedComponents()); c != 1 {
+				t.Fatalf("input has %d components; the widened parameter set needs one", c)
+			}
+			run := func(opts Options) *Result {
+				p, err := ComputeParams(inst, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := p.B + 3
+				if m < p.A || 2*m > 64 {
+					t.Fatalf("M = B+3 = %d must cover A = %d and keep D ≤ 64", m, p.A)
+				}
+				p.M, p.D, p.Fam = m, 2*m, gf2.MustFamily(m, 2)
+				res, _, err := runColoringDomains(inst, opts, p, nil, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			ref := run(Options{TrackPotentials: true, refEval: true})
+			got := run(Options{TrackPotentials: true})
+			compareRuns(t, "dead", ref, got)
+			if err := inst.VerifyColoring(got.Colors); err != nil {
+				t.Errorf("improper coloring: %v", err)
+			}
+		})
+	}
+}
+
 // TestHubBandsBalanceWork pins cutBands: bands are contiguous, cover
 // every slot, and each carries within one slot's work of an equal
 // share, where a slot's work is its owned edges plus one for its own

@@ -30,11 +30,20 @@ import (
 // their aggregation has an order — so the hub fans each bit out over
 // work bands, contiguous slot ranges cut once per phase at equal work
 // (cutBands), each band on its own split of the shared basis. Pass 1:
-// every slot whose marginal an owned edge reads writes its own coin's
+// every slot folds the previously chosen bit into its sheets, and every
+// slot whose marginal an owned edge reads writes its own coin's
 // marginal pair into the per-bit table marg. Pass 2: every slot
 // evaluates its owned edges, reading each neighbor's marginal from the
-// table by slot. The tree-order fold, the FixBit and the sheet folds
-// stay sequential on the coordinator.
+// table by slot. Only the tree-order fold and the FixBit stay
+// sequential on the coordinator. A slot's sheets are touched only by
+// the band that holds the slot, which the per-phase cut fixes.
+//
+// Seed bits that no coin form contains are not evaluated at all. For
+// such a bit both branches of every slot's pair are the same floats, so
+// the tree fold would pick 0: the hub fixes it to 0 with no split, no
+// pass and no sheet fold (no sheet lane holds it). The model still runs
+// the bit's aggregation, so the charged traffic, the segment's span and
+// op count every bit.
 //
 // Bit-identity with the reference path (opts.refEval, runPhaseRef: a
 // fresh basis per phase, clone-and-FixBit per β branch, and every
@@ -95,6 +104,14 @@ type phaseHub struct {
 	built bool
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
 
+	// The last evaluated seed bit and its chosen value, which each band
+	// folds into its alive slots' sheets at the start of the next
+	// evaluated bit's marginal pass; foldBit < 0 when none is pending.
+	// The fold after a phase's last bit is never made: buildSheets
+	// resets the sheets first.
+	foldBit int
+	foldVal bool
+
 	cut    []int             // band b covers slots [cut[b], cut[b+1])
 	sbs    []*gf2.SplitBasis // band b's split of basis on the bit being evaluated
 	panics []any             // a band's recovered panic, re-raised by the coordinator
@@ -111,14 +128,15 @@ type hubSlot struct {
 // seed bits out over bands ≥ 1 work bands.
 func newPhaseHub(size int, p *Params, bands int) *phaseHub {
 	return &phaseHub{
-		size:   size,
-		p:      p,
-		slots:  make([]hubSlot, size),
-		acc:    make([][2]float64, size),
-		marg:   make([]gf2.ProbPair, size),
-		cut:    make([]int, bands+1),
-		sbs:    make([]*gf2.SplitBasis, bands),
-		panics: make([]any, bands),
+		size:    size,
+		p:       p,
+		slots:   make([]hubSlot, size),
+		acc:     make([][2]float64, size),
+		marg:    make([]gf2.ProbPair, size),
+		foldBit: -1,
+		cut:     make([]int, bands+1),
+		sbs:     make([]*gf2.SplitBasis, bands),
+		panics:  make([]any, bands),
 	}
 }
 
@@ -159,16 +177,25 @@ func (h *phaseHub) build() {
 }
 
 // runSeedBits is the central replica of the distributed seed-bit loop:
-// per bit, the bands' two passes evaluate every slot, the tree-ordered
-// fold replaces the aggregation wave, and every slot's sheets and the
-// shared basis advance in lockstep with the chosen bit.
+// per evaluated bit, the bands' two passes evaluate every slot, the
+// tree-ordered fold replaces the aggregation wave, and the shared basis
+// takes the chosen bit, which the bands fold into the slots' sheets
+// next. A bit in no coin form is fixed to 0 directly.
 func (h *phaseHub) runSeedBits() gf2.Vec128 {
 	basis := &h.basis
 	basis.Reset()
 	h.cutBands()
+	h.foldBit = -1
+	live := h.p.Fam.OutputSupport(h.p.B)
 	var seed gf2.Vec128
 	for j := 0; j < h.p.D; j++ {
-		// The basis holds only the chosen bits 0..j−1, so bit j is free.
+		if !live.Bit(j) {
+			if !basis.FixBit(j, false) {
+				panic("core: seed bit in no form not free to fix")
+			}
+			continue
+		}
+		// The basis holds only the bits 0..j−1, so bit j is free.
 		for b := range h.sbs {
 			sb, ok := basis.Split(j)
 			if !ok {
@@ -194,11 +221,7 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 		if !basis.FixBit(j, rj) {
 			panic("core: chosen seed bit inconsistent")
 		}
-		for si := range h.slots {
-			if ns := h.slots[si].ns; ns.alive {
-				ns.foldSheets(j, rj)
-			}
-		}
+		h.foldBit, h.foldVal = j, rj
 		seed = seed.WithBit(j, rj)
 	}
 	return seed
@@ -244,7 +267,7 @@ func (ns *nodeState) bandWork() int {
 
 // The two per-bit passes of a band.
 const (
-	passMarginals = iota // each read slot's own marginal into marg
+	passMarginals = iota // each slot's pending sheet fold, then each read slot's own marginal into marg
 	passEdges            // each slot's owned-edge sums into acc
 )
 
@@ -281,8 +304,13 @@ func (h *phaseHub) band(pass, b int) {
 	for si := h.cut[b]; si < h.cut[b+1]; si++ {
 		ns := h.slots[si].ns
 		if pass == passMarginals {
-			if ns.alive && ns.margRead {
-				h.marg[si] = ns.ownMarginal(sb)
+			if ns.alive {
+				if h.foldBit >= 0 {
+					ns.foldSheets(h.foldBit, h.foldVal)
+				}
+				if ns.margRead {
+					h.marg[si] = ns.ownMarginal(sb)
+				}
 			}
 			continue
 		}

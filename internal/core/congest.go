@@ -593,7 +593,8 @@ type nodeState struct {
 	sheets  []*gf2.FormSheet
 	sheetN  int
 	sheetOK bool
-	edgeBlk []edgeBlock // per owned edge: sheet index and lane groups
+	ownBlk  gf2.BlockCoin // this node's coin: the same lanes on every sheet
+	edgeBlk []edgeBlock   // per owned edge: sheet index and neighbor lanes
 
 	// msgArena holds the reusable outgoing payload buffers, 4 words (the
 	// bandwidth cap) per neighbor, two arenas alternating by round
@@ -612,14 +613,13 @@ type nodeState struct {
 	msgArena [2][]uint64
 }
 
-// edgeBlock locates one owned conflict edge's coins on this node's
-// residual sheets: both endpoints' form groups live on the same sheet,
-// so one gather serves the marginal and the joint walks. mv is the
-// neighbor's slot in the hub's per-bit marginal table.
+// edgeBlock locates one owned conflict edge's neighbor coin on this
+// node's residual sheets. mv is the neighbor's slot in the hub's
+// per-bit marginal table.
 type edgeBlock struct {
-	sheet  int32
-	mv     int32
-	cu, cv gf2.BlockCoin
+	sheet int32
+	mv    int32
+	cv    gf2.BlockCoin
 }
 
 // msgBuf returns the empty reusable payload buffer for neighbor index i
@@ -1155,7 +1155,6 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 	myForms := ns.ownForms()
 	nbrs := ns.ctx.Neighbors()
 	var cur *gf2.FormSheet
-	var cu gf2.BlockCoin
 	for _, i := range ns.ownedIdx {
 		fv := ns.neighborForms(int(i), ns.nbrPsi[i])
 		if cur == nil || cur.Free() < len(fv) {
@@ -1165,7 +1164,7 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 				ns.sheetOK, ns.sheetN = false, 0
 				return
 			}
-			cu = gf2.BlockCoin{Lane: lane, B: myCoin.Bits(), T: myCoin.Threshold()}
+			ns.ownBlk = gf2.BlockCoin{Lane: lane, B: myCoin.Bits(), T: myCoin.Threshold()}
 		}
 		lane, ok := cur.AddForms(fv)
 		if !ok {
@@ -1176,7 +1175,6 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 		ns.edgeBlk = append(ns.edgeBlk, edgeBlock{
 			sheet: int32(ns.sheetN - 1),
 			mv:    int32(ns.rankOf[nbrs[i]]),
-			cu:    cu,
 			cv:    gf2.BlockCoin{Lane: lane, B: cv.Bits(), T: cv.Threshold()},
 		})
 	}
@@ -1197,10 +1195,11 @@ func (ns *nodeState) nextSheet() *gf2.FormSheet {
 }
 
 // foldSheets folds the chosen value of seed bit j into every residual
-// sheet — the per-bit incremental update that lets bit j+1 start from
-// current residuals instead of re-reducing each form against the basis.
+// sheet — the per-bit incremental update that lets the next evaluated
+// bit start from current residuals instead of re-reducing each form
+// against the basis.
 //
-//sbw:allocfree phase-step kernel: per-seed-bit sheet fold, once per node per bit
+//sbw:allocfree phase-step kernel: per-seed-bit sheet fold, once per node per evaluated bit on the node's hub band
 func (ns *nodeState) foldSheets(j int, rj bool) {
 	for k := 0; k < ns.sheetN; k++ {
 		ns.sheets[k].Fix(j, rj)
@@ -1215,21 +1214,23 @@ func (ns *nodeState) foldSheets(j int, rj bool) {
 //
 // Two evaluation tiers, bit-identical to each other and to runPhaseRef
 // (the differential and fuzz suites pin both): the batched sheet path —
-// the joint block kernel per edge against the neighbor's marginal —
-// for D ≤ 64, and the scalar split kernel for nodes whose forms no
-// sheet can carry (D > 64).
+// this node's coin walked once, and the walk replayed per edge against
+// the neighbor's coin and marginal — for D ≤ 64, and the scalar split
+// kernel for nodes whose forms no sheet can carry (D > 64).
 func (ns *nodeState) evalPhaseBit(sb *gf2.SplitBasis, marg []gf2.ProbPair) (x0, x1 float64) {
 	k1, k0 := ns.phK1, ns.phK0
 	if ns.sheetOK {
 		// Joint probabilities and the Lemma 2.2 terms, in owned order —
 		// the same accumulation order as the scalar path.
+		ow := sb.WalkOwner(ns.sheets[0], ns.ownBlk)
+		pu := ow.Marginal()
 		for ei, i := range ns.ownedIdx {
 			eb := &ns.edgeBlk[ei]
 			pv := marg[eb.mv]
-			p1u0, p110, p1u1, p111 := sb.EdgePairBlock(ns.sheets[eb.sheet], eb.cu, eb.cv, pv.P0, pv.P1)
+			p11 := ow.Joint(ns.sheets[eb.sheet], eb.cv, pv)
 			k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-			x0 += edgeCombine(p1u0, pv.P0, p110, k1, k0, k1v, k0v)
-			x1 += edgeCombine(p1u1, pv.P1, p111, k1, k0, k1v, k0v)
+			x0 += edgeCombine(pu.P0, pv.P0, p11.P0, k1, k0, k1v, k0v)
+			x1 += edgeCombine(pu.P1, pv.P1, p11.P1, k1, k0, k1v, k0v)
 		}
 		return x0, x1
 	}
@@ -1251,7 +1252,7 @@ func (ns *nodeState) ownMarginal(sb *gf2.SplitBasis) gf2.ProbPair {
 		p0, p1 := sb.ProbOnePair(ns.phMyCoin)
 		return gf2.ProbPair{P0: p0, P1: p1}
 	}
-	req := [1]gf2.BlockCoin{ns.edgeBlk[0].cu}
+	req := [1]gf2.BlockCoin{ns.ownBlk}
 	var out [1]gf2.ProbPair
 	sb.ProbOnePairBlock(ns.sheets[0], req[:], out[:])
 	return out[0]

@@ -177,34 +177,158 @@ func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out [
 	}
 }
 
-// EdgePairBlock is EdgePair with both coins read from a sheet and C2's
-// marginal walk skipped: it returns C1's marginal and the joint
-// probabilities under both branches (EdgePair's p1u0, p110, p1u1 and
-// p111), with C2's marginal (pv0/pv1) supplied by the caller — the
-// hub's per-bit table, filled by ProbOnePairBlock. Preconditions as for
-// ProbOnePairBlock; results are bit-identical to EdgePair on the same
-// coins.
+// OwnerWalk is the owner's half of a node's joint edge walks under one
+// split: the steps of the owner coin's threshold walk, recorded once per
+// node per seed bit by SplitBasis.WalkOwner and replayed for each owned
+// edge by Joint. Nothing the owner does depends on the neighbor — its
+// residual gather, its reductions against its own prefix rows, its
+// branch liveness, condProb, and its own marginal — so only the
+// neighbor's residual updates and inner walks run per edge. An
+// OwnerWalk lives in its split's scratch and stays valid until the next
+// WalkOwner on that split or its Release.
+type OwnerWalk struct {
+	sb     *SplitBasis
+	p1     ProbPair // the owner coin's marginal
+	never  bool     // owner threshold 0: the coin never shows 1
+	always bool     // owner threshold ≥ 2^b: the coin always shows 1
+	ops    [128]walkOp
+	n      int
+}
+
+// walkOp is one recorded step of an owner walk. With alive ≠ 0 it is a
+// term: the neighbor's inner walk runs for the branches in alive,
+// seeded with the atom (mask, rhs) when mask ≠ 0, and its result is
+// added with weight w (condProb, or condProb·0.5 under an atom). With
+// alive = 0 it is a prefix row, which the neighbor's residuals
+// eliminate before any later term.
+type walkOp struct {
+	loRow
+	w     float64
+	alive uint8
+}
+
+// WalkOwner records the owner coin cu's joint-walk steps, reading its
+// residuals from a sheet folded in step with this basis (the owner's
+// form group heads every sheet of a node, and all of them hold the same
+// residuals). Preconditions as for ProbOnePairBlock. The walk ends at
+// the threshold's lowest one bit, the last step that adds a term.
 //
-//sbw:allocfree phase-step kernel: batched joint edge probabilities
-func (sb *SplitBasis) EdgePairBlock(sheet *FormSheet, cu, cv BlockCoin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
-	if cu.T == 0 {
-		return 0, 0, 0, 0
+//sbw:allocfree phase-step kernel: one owner walk per sheeted node per seed bit
+func (sb *SplitBasis) WalkOwner(sheet *FormSheet, cu BlockCoin) *OwnerWalk {
+	ow := &sb.owner
+	ow.sb, ow.n, ow.p1 = sb, 0, ProbPair{}
+	ow.never = cu.T == 0
+	ow.always = cu.T >= uint64(1)<<cu.B
+	if ow.never || ow.always {
+		if ow.always {
+			ow.p1 = ProbPair{P0: 1, P1: 1}
+		}
+		return ow
 	}
-	if cu.T >= uint64(1)<<cu.B {
-		return 1, pv0, 1, pv1
+	res := sb.resLoU[:cu.B]
+	sb.gatherResid(sheet, cu.Lane, cu.B, res)
+	rows := &sb.fuLo
+	rows.n = 0
+	alive := uint8(3)
+	condProb := 1.0
+	steps := cu.B - bits.TrailingZeros64(cu.T)
+	for idx := 0; idx < steps; idx++ {
+		m, rhs := rows.reduce(res[idx].mask, res[idx].rhs)
+		tj := cu.T&(1<<(cu.B-1-idx)) != 0
+		if tj {
+			if m == 0 {
+				// The prefix fixes the form: each live branch that
+				// fixes it at 0 takes the whole condProb.
+				if e := alive &^ rhs; e != 0 {
+					ow.term(e, condProb, 0, 0)
+				}
+			} else {
+				ow.term(alive, condProb*0.5, m, rhs)
+			}
+		}
+		if idx == steps-1 {
+			break // the last term: no later step reads the prefix
+		}
+		// Continue branch: prefix bit equals tj.
+		rr := rhs
+		if tj {
+			rr ^= 3
+		}
+		if m == 0 {
+			alive &^= rr
+			if alive == 0 {
+				break
+			}
+		} else {
+			condProb *= 0.5
+			ow.ops[ow.n] = walkOp{loRow: rows.add(m, rr)}
+			ow.n++
+		}
 	}
-	if cv.T == 0 {
-		resU := sb.resLo[:cu.B]
-		sb.gatherResid(sheet, cu.Lane, cu.B, resU)
-		p1u0, p1u1 = loInnerWalk(&sb.innerLo, resU, cu.T, 0, 0, false, 3)
-		return p1u0, 0, p1u1, 0
+	return ow
+}
+
+// term records a term step and adds its weight to the owner's marginal
+// under each branch it runs for.
+func (ow *OwnerWalk) term(alive uint8, w float64, m uint64, rhs uint8) {
+	if alive&1 != 0 {
+		ow.p1.P0 += w
 	}
-	resU := sb.resLoU[:cu.B]
-	sb.gatherResid(sheet, cu.Lane, cu.B, resU)
+	if alive&2 != 0 {
+		ow.p1.P1 += w
+	}
+	ow.ops[ow.n] = walkOp{loRow: loRow{mask: m, rhs: rhs}, w: w, alive: alive}
+	ow.n++
+}
+
+// Marginal returns Pr[C1 = 1] under both branches, bit-identical to
+// ProbOnePairBlock on the owner coin.
+func (ow *OwnerWalk) Marginal() ProbPair { return ow.p1 }
+
+// Joint returns Pr[C1 = 1 ∧ C2 = 1] under both branches for the owned
+// edge to the neighbor coin cv, read from sheet; pv is the neighbor's
+// marginal pair (the hub's per-bit table, filled by ProbOnePairBlock).
+// The recorded steps are replayed in order: a row is eliminated from
+// every neighbor residual in one branch-free pass, and a term runs the
+// neighbor's inner walk and adds its weighted result. The terms and
+// their order are those of EdgePair's two-word joint walk, so both
+// results are bit-identical to its p110 and p111.
+//
+//sbw:allocfree phase-step kernel: one replay per owned edge per seed bit
+func (ow *OwnerWalk) Joint(sheet *FormSheet, cv BlockCoin, pv ProbPair) (p11 ProbPair) {
+	switch {
+	case ow.never:
+		return ProbPair{}
+	case ow.always:
+		return pv // C1 always 1: the joint is C2's marginal
+	case cv.T == 0:
+		return ProbPair{}
+	case cv.T >= uint64(1)<<cv.B:
+		// C2 always 1: every inner walk returns 1 for each branch it
+		// runs, so the joint sums the marginal's terms in its order.
+		return ow.p1
+	}
+	sb := ow.sb
 	res := sb.resLo[:cv.B]
-	fvWalkable := cv.T < uint64(1)<<cv.B
-	if fvWalkable {
-		sb.gatherResid(sheet, cv.Lane, cv.B, res)
+	sb.gatherResid(sheet, cv.Lane, cv.B, res)
+	for k := range ow.ops[:ow.n] {
+		op := &ow.ops[k]
+		if op.alive == 0 {
+			for i := range res {
+				r := &res[i]
+				sel := -(r.mask >> op.piv & 1)
+				r.mask ^= op.mask & sel
+				r.rhs ^= op.rhs & uint8(sel)
+			}
+			continue
+		}
+		q0, q1 := loInnerWalk(&sb.innerLo, res, cv.T, op.mask, op.rhs, op.mask != 0, op.alive)
+		if op.alive&1 != 0 {
+			p11.P0 += op.w * q0
+		}
+		if op.alive&2 != 0 {
+			p11.P1 += op.w * q1
+		}
 	}
-	return sb.loJointWalkResid(resU, cu.T, res, cv.T, fvWalkable)
+	return p11
 }

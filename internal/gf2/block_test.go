@@ -46,9 +46,9 @@ func TestTranspose64MatchesNaive(t *testing.T) {
 
 // TestBlockKernelsAllocFree is the allocs/op regression guard on the
 // bit-sliced kernels: with a sealed sheet and pooled split bases, the
-// batched marginal walk, the batched joint walk, and the incremental
-// plane fold must not allocate — they run once per owned edge per seed
-// bit on the phase hot path.
+// batched marginal walk, the owner walk, its per-edge replay, and the
+// incremental plane fold must not allocate — they run once per node or
+// per owned edge per seed bit on the phase hot path.
 func TestBlockKernelsAllocFree(t *testing.T) {
 	fam := MustFamily(12, 2)
 	const b = 9
@@ -86,8 +86,9 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 			t.Fatal("split refused")
 		}
 		sb.ProbOnePairBlock(&sheet, reqs[:], out[:])
+		ow := sb.WalkOwner(&sheet, cu)
 		for i := range reqs {
-			sb.EdgePairBlock(&sheet, cu, reqs[i], out[i].P0, out[i].P1)
+			ow.Joint(&sheet, reqs[i], out[i])
 		}
 		sb.Release()
 		basis.FixBit(j, j%2 == 0)
@@ -102,78 +103,96 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 	}
 }
 
-// TestFormSheetBlockMatchesScalar drives the phase loop's exact kernel
-// sequence — seal a sheet of coin form groups, then per seed bit split,
-// evaluate, fix, fold — and pins every block result bitwise against the
-// scalar kernels on the same coins under the same basis.
+// TestFormSheetBlockMatchesScalar drives the phase hub's exact kernel
+// sequence on production-size coins — lay an owner and its neighbors
+// out on sheets as buildSheets does (every sheet headed by the owner's
+// group, so larger owners spill onto a second sheet), then per seed bit
+// split, fill the neighbors' marginals, walk the owner once, replay the
+// walk for every edge, fix, and fold — and pins every block result
+// bitwise against the two-word EdgePair walk on the same coins under
+// the same basis. Field degrees reach 13 and list sizes 3..20, so
+// thresholds k1·2^b/|L| are not multiples of large powers of two and
+// the walks run long, as the hub's do at B = 8–13.
 func TestFormSheetBlockMatchesScalar(t *testing.T) {
 	src := prng.New(777)
-	for trial := 0; trial < 400; trial++ {
-		m := 3 + src.Intn(3)
+	spilled := 0
+	for trial := 0; trial < 300; trial++ {
+		m := 3 + src.Intn(11)
 		fam := MustFamily(m, 2)
 		d := fam.SeedBits()
 		order := fam.Field().Order()
-
-		// One "own" coin plus a few neighbor coins, as the phase loop
-		// lays them out; thresholds sweep the boundary cases (0, ≥2^b).
-		b := 1 + src.Intn(m)
-		nNbr := 1 + src.Intn(4)
-		xs := make([]uint64, 1+nNbr)
-		for i := range xs {
-			xs[i] = uint64(i+1+src.Intn(3)*7) & (order - 1)
-			if xs[i] == 0 {
-				xs[i] = 1
-			}
+		b := m - src.Intn(3)
+		if b < 1 || src.Intn(5) == 0 {
+			b = 1 + src.Intn(m)
 		}
-		coins := make([]Coin, len(xs))
-		lanes := make([]int, len(xs))
-		var sheet FormSheet
-		for i, x := range xs {
+		coin := func(x uint64) (Coin, []Form) {
 			forms := fam.OutputForms(x, b)
-			var err error
-			coins[i], err = NewCoinFromForms(forms, src.Uint64()%5, 4)
+			lists := 3 + src.Intn(18)
+			c, err := NewCoinFromForms(forms, uint64(src.Intn(lists+1)), uint64(lists))
 			if err != nil {
 				t.Fatal(err)
 			}
-			lane, ok := sheet.AddForms(forms)
-			if !ok {
-				t.Fatalf("trial %d: AddForms refused %d forms with %d free lanes", trial, len(forms), sheet.Free())
-			}
-			lanes[i] = lane
+			return c, forms
 		}
-		sheet.Seal()
-
-		bc := func(i int) BlockCoin {
-			return BlockCoin{Lane: lanes[i], B: coins[i].Bits(), T: coins[i].Threshold()}
+		own, ownForms := coin(src.Uint64() & (order - 1))
+		nNbr := 1 + src.Intn(12)
+		nbrs := make([]Coin, nNbr)
+		var sheets []*FormSheet
+		ownOn := make([]BlockCoin, 0, 2) // the owner's group on each sheet
+		sheetOf := make([]int, nNbr)
+		cvs := make([]BlockCoin, nNbr)
+		for i := range nbrs {
+			var forms []Form
+			nbrs[i], forms = coin(src.Uint64() & (order - 1))
+			if len(sheets) == 0 || sheets[len(sheets)-1].Free() < len(forms) {
+				sh := new(FormSheet)
+				lane, ok := sh.AddForms(ownForms)
+				if !ok {
+					t.Fatal("AddForms refused the owner on a fresh sheet")
+				}
+				sheets = append(sheets, sh)
+				ownOn = append(ownOn, BlockCoin{Lane: lane, B: own.Bits(), T: own.Threshold()})
+			}
+			sh := sheets[len(sheets)-1]
+			lane, ok := sh.AddForms(forms)
+			if !ok {
+				t.Fatalf("trial %d: AddForms refused %d forms with %d free lanes", trial, len(forms), sh.Free())
+			}
+			sheetOf[i] = len(sheets) - 1
+			cvs[i] = BlockCoin{Lane: lane, B: nbrs[i].Bits(), T: nbrs[i].Threshold()}
+		}
+		if len(sheets) > 1 {
+			spilled++
+		}
+		for _, sh := range sheets {
+			sh.Seal()
 		}
 
 		bs := NewBasis()
-		reqs := make([]BlockCoin, nNbr)
-		out := make([]ProbPair, nNbr)
+		var pv, pu [1]ProbPair
 		for j := 0; j < d; j++ {
 			sb, ok := bs.Split(j)
 			if !ok {
 				t.Fatalf("trial %d: Split(%d) refused on the phase basis", trial, j)
 			}
-			// Batched neighbor marginals vs the scalar walk.
-			for i := 0; i < nNbr; i++ {
-				reqs[i] = bc(1 + i)
-			}
-			sb.ProbOnePairBlock(&sheet, reqs, out)
-			for i := 0; i < nNbr; i++ {
-				w0, w1 := sb.ProbOnePair(coins[1+i])
-				if out[i].P0 != w0 || out[i].P1 != w1 {
-					t.Fatalf("trial %d bit %d nbr %d: ProbOnePairBlock (%v %v), scalar (%v %v)",
-						trial, j, i, out[i].P0, out[i].P1, w0, w1)
+			// The owner's walk reads sheet 0, whatever sheet its edge is on.
+			ow := sb.WalkOwner(sheets[0], ownOn[0])
+			for i := range nbrs {
+				sh := sheets[sheetOf[i]]
+				w1u0, w1v0, w110, w1u1, w1v1, w111 := sb.EdgePair(own, nbrs[i])
+				sb.ProbOnePairBlock(sh, []BlockCoin{cvs[i]}, pv[:])
+				if pv[0].P0 != w1v0 || pv[0].P1 != w1v1 {
+					t.Fatalf("trial %d bit %d nbr %d: ProbOnePairBlock (%v %v), EdgePair (%v %v)",
+						trial, j, i, pv[0].P0, pv[0].P1, w1v0, w1v1)
 				}
-			}
-			// Batched joint probabilities vs the scalar walk.
-			for i := 0; i < nNbr; i++ {
-				g1u0, g110, g1u1, g111 := sb.EdgePairBlock(&sheet, bc(0), bc(1+i), out[i].P0, out[i].P1)
-				w1u0, _, w110, w1u1, _, w111 := sb.EdgePair(coins[0], coins[1+i])
-				if g1u0 != w1u0 || g110 != w110 || g1u1 != w1u1 || g111 != w111 {
-					t.Fatalf("trial %d bit %d nbr %d: EdgePairBlock (%v %v | %v %v), scalar (%v %v | %v %v)",
-						trial, j, i, g1u0, g110, g1u1, g111, w1u0, w110, w1u1, w111)
+				sb.ProbOnePairBlock(sh, []BlockCoin{ownOn[sheetOf[i]]}, pu[:])
+				if g := ow.Marginal(); g.P0 != w1u0 || g.P1 != w1u1 || pu[0] != g {
+					t.Fatalf("trial %d bit %d nbr %d: owner marginal %v, on the edge's sheet %v, EdgePair (%v %v)",
+						trial, j, i, g, pu[0], w1u0, w1u1)
+				}
+				if g := ow.Joint(sh, cvs[i], pv[0]); g.P0 != w110 || g.P1 != w111 {
+					t.Fatalf("trial %d bit %d nbr %d (sheet %d): Joint (%v %v), EdgePair (%v %v)",
+						trial, j, i, sheetOf[i], g.P0, g.P1, w110, w111)
 				}
 			}
 			sb.Release()
@@ -181,7 +200,12 @@ func TestFormSheetBlockMatchesScalar(t *testing.T) {
 			if !bs.FixBit(j, rj) {
 				t.Fatalf("trial %d: FixBit(%d) refused", trial, j)
 			}
-			sheet.Fix(j, rj)
+			for _, sh := range sheets {
+				sh.Fix(j, rj)
+			}
 		}
+	}
+	if spilled < 30 {
+		t.Errorf("only %d of 300 owners spanned two sheets", spilled)
 	}
 }

@@ -135,6 +135,27 @@ func (fam *Family) OutputFormsInto(x uint64, outBits int, dst []Form) []Form {
 	return forms
 }
 
+// OutputSupport returns the seed bits some form of OutputForms(x,
+// outBits) can contain, over every input x: coefficient 0 reaches only
+// the output bits below outBits (seed bits 0..outBits−1), and every
+// higher coefficient j may reach all of its seed bits [j·m, (j+1)·m).
+// The seed bits outBits..m−1 are therefore in no such form, and a
+// conditional expectation over those forms is the same under both
+// values of such a bit.
+func (fam *Family) OutputSupport(outBits int) Vec128 {
+	m := fam.f.m
+	if outBits < 1 || outBits > m {
+		panic(fmt.Sprintf("gf2: outBits=%d out of range [1,%d]", outBits, m))
+	}
+	var v Vec128
+	for i := 0; i < fam.k*m; i++ {
+		if i >= m || i < outBits {
+			v = v.WithBit(i, true)
+		}
+	}
+	return v
+}
+
 // growForms resizes dst to n zeroed Forms, reusing its backing storage
 // when the capacity suffices.
 func growForms(dst []Form, n int) []Form {

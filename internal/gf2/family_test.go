@@ -118,6 +118,37 @@ func TestOutputFormsMatchEval(t *testing.T) {
 	}
 }
 
+// TestOutputSupportCoversForms pins OutputSupport against the forms
+// themselves: over every input x, each output form's seed bits lie in
+// the support, and the support is exactly their union — seed bits
+// outBits..m−1, coefficient 0's bits above the output, are in no form.
+func TestOutputSupportCoversForms(t *testing.T) {
+	for _, tc := range []struct{ m, k, outBits int }{
+		{4, 2, 4}, {5, 2, 3}, {8, 2, 6}, {11, 2, 10}, {7, 3, 2},
+	} {
+		fam := MustFamily(tc.m, tc.k)
+		sup := fam.OutputSupport(tc.outBits)
+		var union Vec128
+		for x := uint64(0); x < fam.Field().Order(); x++ {
+			for _, fo := range fam.OutputForms(x, tc.outBits) {
+				if !fo.Mask.AndNot(sup).IsZero() {
+					t.Fatalf("m=%d k=%d b=%d x=%d: form %v leaves support %v",
+						tc.m, tc.k, tc.outBits, x, fo.Mask, sup)
+				}
+				union = Vec128{Lo: union.Lo | fo.Mask.Lo, Hi: union.Hi | fo.Mask.Hi}
+			}
+		}
+		if union != sup {
+			t.Errorf("m=%d k=%d b=%d: support %v, forms cover %v", tc.m, tc.k, tc.outBits, sup, union)
+		}
+		for j := tc.outBits; j < tc.m; j++ {
+			if sup.Bit(j) {
+				t.Errorf("m=%d k=%d b=%d: seed bit %d reported in a form", tc.m, tc.k, tc.outBits, j)
+			}
+		}
+	}
+}
+
 func TestValueFromFormsMSBOrder(t *testing.T) {
 	// forms[0] must be the most significant bit.
 	fam := MustFamily(4, 2)

@@ -41,22 +41,27 @@ type SplitBasis struct {
 	fuRows [64]splitRow
 	inner  [64]splitRow
 
-	// Single-word walk scratch for the block kernels and ProbOnePair.
-	// resLoU holds C1's residuals for the joint walks, so C2's residuals
-	// in resLo survive the walk.
+	// Single-word walk scratch for the block kernels and ProbOnePair:
+	// resLoU and fuLo hold the owner coin's residuals and prefix rows
+	// while WalkOwner records its steps into owner, and resLo holds the
+	// residuals an inner walk reads (a neighbor's, updated by Joint's
+	// row replay).
 	resLo   [64]loResid
 	resLoU  [64]loResid
 	fuLo    loRows
 	innerLo loRows
+	owner   OwnerWalk
 }
 
 // loRow / loResid are the compact single-word forms of splitRow /
 // residPair used when every mask fits the low word: the two branch
 // right-hand sides pack into one byte (bit 0 = branch 0, bit 1 =
-// branch 1), so a row elimination is two XORs.
+// branch 1), so a row elimination is two XORs. piv is the index of
+// the row mask's lowest set bit.
 type loRow struct {
 	mask uint64
 	rhs  uint8
+	piv  uint8
 }
 
 type loResid struct {
@@ -64,46 +69,37 @@ type loResid struct {
 	rhs  uint8
 }
 
-// loRows is an echelon system over single-word masks with a pivot
-// index: pivs is the OR of all pivot bits and pivMap[b] the row whose
-// pivot is bit b (valid only where pivs has the bit, so reuse needs no
-// clearing). Reduction is pivot-driven — each step eliminates the
-// lowest pivot present, which strictly clears bits from the bottom up,
-// so it terminates and yields the canonical residual of the span; no
-// time is spent scanning rows that cannot hit. Residual uniqueness
-// makes the result identical to the insertion-order scan.
+// loRows is an echelon system over single-word masks, kept in
+// insertion order. Every row is added fully reduced against the rows
+// before it, so row k holds no pivot of an earlier row.
 type loRows struct {
-	rows   [64]loRow
-	n      int
-	pivs   uint64
-	pivMap [64]uint8
+	rows [64]loRow
+	n    int
 }
 
-func (st *loRows) reset() {
-	st.n = 0
-	st.pivs = 0
-}
-
-// reduce eliminates every stored row from (m, rhs).
+// reduce eliminates every stored row from (m, rhs) in one branch-free
+// pass in insertion order. Row k carries no earlier pivot, so
+// eliminating it never brings one back: after the pass m holds no
+// pivot of any row, which makes it the canonical residual of the span.
+// The rows are independent, so the set of rows eliminated, and with it
+// the right-hand side, is unique too.
 func (st *loRows) reduce(m uint64, rhs uint8) (uint64, uint8) {
-	for {
-		pm := m & st.pivs
-		if pm == 0 {
-			return m, rhs
-		}
-		r := &st.rows[st.pivMap[bits.TrailingZeros64(pm)]]
-		m ^= r.mask
-		rhs ^= r.rhs
+	for k := range st.rows[:st.n] {
+		r := &st.rows[k]
+		sel := -(m >> r.piv & 1)
+		m ^= r.mask & sel
+		rhs ^= r.rhs & uint8(sel)
 	}
+	return m, rhs
 }
 
-// add inserts a fully reduced, non-zero residual as a new row.
-func (st *loRows) add(m uint64, rhs uint8) {
-	piv := m & -m
-	st.rows[st.n] = loRow{mask: m, rhs: rhs}
-	st.pivMap[bits.TrailingZeros64(piv)] = uint8(st.n)
-	st.pivs |= piv
+// add inserts a fully reduced, non-zero residual as a new row and
+// returns the row.
+func (st *loRows) add(m uint64, rhs uint8) loRow {
+	r := loRow{mask: m, rhs: rhs, piv: uint8(bits.TrailingZeros64(m))}
+	st.rows[st.n] = r
 	st.n++
+	return r
 }
 
 type splitRow struct {
@@ -539,7 +535,10 @@ func (sb *SplitBasis) loReduce(mask uint64, c bool) (uint64, uint8) {
 // packs the branch liveness the same way the rhs bytes pack the
 // right-hand sides. atom, when hasAtom, is one fully reduced constraint
 // seeding the system. The accumulated terms and their order are
-// identical to the two-word walk.
+// identical to the two-word walk. A term is added only where t has a
+// one bit, so the walk ends at t's lowest one: the two-word walk's
+// later steps only add rows and retire branches, which changes no
+// term.
 func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs uint8, hasAtom bool, alive uint8) (p0, p1 float64) {
 	b := len(res)
 	if t == 0 {
@@ -554,12 +553,13 @@ func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs u
 		}
 		return p0, p1
 	}
-	st.reset()
+	st.n = 0
 	if hasAtom {
 		st.add(atomMask, atomRhs)
 	}
+	steps := b - bits.TrailingZeros64(t)
 	condProb := 1.0
-	for idx := 0; idx < b; idx++ {
+	for idx := 0; idx < steps; idx++ {
 		m, rhs := st.reduce(res[idx].mask, res[idx].rhs)
 		tj := t&(1<<(b-1-idx)) != 0
 		if tj {
@@ -596,83 +596,6 @@ func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs u
 		}
 	}
 	return p0, p1
-}
-
-// loJointWalkResid is the joint walk over C1's threshold decomposition
-// on the compact single-word rows: resU holds C1's residuals against
-// the conditioned basis, and C2's residuals res are updated in step
-// with the prefix rows the walk accumulates. Walk for walk and term for
-// term it mirrors EdgePair's two-word joint walk, so results are
-// bit-identical.
-//
-//sbw:allocfree phase-step kernel: the block path's joint walk
-func (sb *SplitBasis) loJointWalkResid(resU []loResid, tu uint64, res []loResid, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
-	bu, bv := len(resU), len(res)
-	fuRows := &sb.fuLo
-	fuRows.reset()
-	alive := uint8(3)
-	condProb := 1.0
-	for idx := range resU {
-		m, rhs := fuRows.reduce(resU[idx].mask, resU[idx].rhs)
-		tj := tu&(1<<(bu-1-idx)) != 0
-		if tj {
-			if m == 0 {
-				var e uint8
-				if alive&1 != 0 && rhs&1 == 0 {
-					e |= 1
-				}
-				if alive&2 != 0 && rhs&2 == 0 {
-					e |= 2
-				}
-				if e != 0 {
-					q0, q1 := loInnerWalk(&sb.innerLo, res, tv, 0, 0, false, e)
-					if e&1 != 0 {
-						p1u0 += condProb
-						p110 += condProb * q0
-					}
-					if e&2 != 0 {
-						p1u1 += condProb
-						p111 += condProb * q1
-					}
-				}
-			} else {
-				half := condProb * 0.5
-				q0, q1 := loInnerWalk(&sb.innerLo, res, tv, m, rhs, true, alive)
-				if alive&1 != 0 {
-					p1u0 += half
-					p110 += half * q0
-				}
-				if alive&2 != 0 {
-					p1u1 += half
-					p111 += half * q1
-				}
-			}
-		}
-		// Continue branch: prefix bit equals tj.
-		rr := rhs
-		if tj {
-			rr ^= 3
-		}
-		if m == 0 {
-			alive &^= rr
-			if alive == 0 {
-				return p1u0, p110, p1u1, p111
-			}
-		} else {
-			piv := m & -m
-			fuRows.add(m, rr)
-			condProb *= 0.5
-			if fvWalkable {
-				for i := 0; i < bv; i++ {
-					if res[i].mask&piv != 0 {
-						res[i].mask ^= m
-						res[i].rhs ^= rr
-					}
-				}
-			}
-		}
-	}
-	return p1u0, p110, p1u1, p111
 }
 
 // probLessPairClone runs the dual-branch ProbLess on a pooled clone.
