@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	sb "smallbandwidth"
@@ -39,7 +37,8 @@ type EngineWorkload struct {
 // parallelism the sweep ran with and NumCPU the parallelism the host
 // offered, so a record pins both the single-core wall time
 // (gomaxprocs = 1) and the multi-core scaling (gomaxprocs = num_cpu) —
-// `-procs both` emits the two records in one invocation.
+// `-procs both` emits the two records in one invocation (only the
+// gomaxprocs = 1 record on a 1-CPU host).
 type EngineRecord struct {
 	GoMaxProcs int              `json:"gomaxprocs"`
 	NumCPU     int              `json:"num_cpu,omitempty"`
@@ -56,58 +55,9 @@ type BenchFile struct {
 	Engines map[string]EngineRecord `json:"engines"`
 }
 
-// workloadName formats a sized workload name as "group/kind-n". Records
-// written before the separator (e.g. "scale-build/gnp41000000") glued
-// kind and size into one unparseable token; new records always carry the
-// dash, and parseWorkloadName reads both generations.
+// workloadName formats a sized workload name as "group/kind-n".
 func workloadName(group, kind string, n int) string {
 	return fmt.Sprintf("%s/%s-%d", group, kind, n)
-}
-
-// digitKinds are the workload kinds whose own names end in a digit;
-// the legacy glued form cannot be split by trailing digits alone for
-// these ("gnp41000000" is gnp4 at n = 10⁶, not gnp at 4.1·10⁷).
-var digitKinds = []string{"gnp4", "regular4", "torus2d"}
-
-// parseWorkloadName splits a workload name into its group, kind, and
-// size, tolerating both the dashed form new records carry
-// ("scale-color/gnp4-1000000") and the legacy glued form
-// ("scale-color/gnp41000000"): glued names resolve against the known
-// digit-suffixed kinds first, then split at the longest trailing digit
-// run. Names without a size (engine-mode workloads like
-// "color/gnp-sparse") return ok = false.
-func parseWorkloadName(name string) (group, kind string, n int, ok bool) {
-	slash := strings.IndexByte(name, '/')
-	if slash < 0 {
-		return "", "", 0, false
-	}
-	group, rest := name[:slash], name[slash+1:]
-	if kind, num, found := strings.Cut(rest, "-"); found {
-		v, err := strconv.Atoi(num)
-		if err != nil || kind == "" {
-			return "", "", 0, false
-		}
-		return group, kind, v, true
-	}
-	for _, k := range digitKinds {
-		if num, found := strings.CutPrefix(rest, k); found && num != "" {
-			if v, err := strconv.Atoi(num); err == nil {
-				return group, k, v, true
-			}
-		}
-	}
-	end := len(rest)
-	for end > 0 && rest[end-1] >= '0' && rest[end-1] <= '9' {
-		end--
-	}
-	if end == len(rest) || end == 0 {
-		return "", "", 0, false
-	}
-	v, err := strconv.Atoi(rest[end:])
-	if err != nil {
-		return "", "", 0, false
-	}
-	return group, rest[:end], v, true
 }
 
 func measure(name string, n, m int, run func() (rounds int, messages, words int64)) EngineWorkload {

@@ -73,21 +73,16 @@ func main() {
 			}
 			fmt.Printf("recorded benchmarks under label %q in %s (GOMAXPROCS=%d)\n", label, path, runtime.GOMAXPROCS(0))
 		}
-		switch *procs {
-		case "current":
-			runAt(*label, 0)
-		case "1":
-			runAt(*label, 1)
-		case "max":
-			warnSingleCPU()
-			runAt(*label, runtime.NumCPU())
-		case "both":
-			warnSingleCPU()
-			runAt(*label+"@p1", 1)
-			runAt(*label+"@pN", runtime.NumCPU())
-		default:
-			fmt.Fprintf(os.Stderr, "benchtables: unknown -procs value %q (want current, 1, max, or both)\n", *procs)
+		runs, note, err := procRuns(*procs, *label, runtime.NumCPU())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchtables:", err)
 			os.Exit(1)
+		}
+		if note != "" {
+			fmt.Fprintln(os.Stderr, "benchtables:", note)
+		}
+		for _, r := range runs {
+			runAt(r.label, r.gomaxprocs)
 		}
 	}
 	switch {
@@ -146,14 +141,36 @@ func main() {
 	run("E12", e12)
 }
 
-// warnSingleCPU flags -procs max/both runs on a single-CPU host: the
-// @pN record is then the same single-core configuration as @p1 and
-// must not be read as multi-core scaling evidence. The records stay
-// honest (num_cpu=1 is written as measured); this is operator-facing.
-func warnSingleCPU() {
-	if runtime.NumCPU() == 1 {
-		fmt.Fprintln(os.Stderr, "benchtables: host reports 1 CPU; the @pN/max sweep measures the same single-core configuration as @p1 (num_cpu=1 is recorded as such)")
+// procRun is one record sweep: its label and the GOMAXPROCS it runs at
+// (0 leaves GOMAXPROCS as it is).
+type procRun struct {
+	label      string
+	gomaxprocs int
+}
+
+// procRuns resolves -procs mode into the sweeps to record on a host
+// with ncpu CPUs. On one CPU, "both" records only <label>@p1: an @pN
+// twin would measure the same single-core configuration and could be
+// read as multi-core scaling evidence. note, when not empty, tells the
+// operator what a single-CPU host changed.
+func procRuns(mode, label string, ncpu int) (runs []procRun, note string, err error) {
+	switch mode {
+	case "current":
+		return []procRun{{label, 0}}, "", nil
+	case "1":
+		return []procRun{{label, 1}}, "", nil
+	case "max":
+		if ncpu == 1 {
+			note = "host reports 1 CPU; the max sweep measures the single-core configuration (num_cpu=1 is recorded as such)"
+		}
+		return []procRun{{label, ncpu}}, note, nil
+	case "both":
+		if ncpu == 1 {
+			return []procRun{{label + "@p1", 1}}, "host reports 1 CPU; recording only " + label + "@p1, since an @pN twin would measure the same single-core configuration", nil
+		}
+		return []procRun{{label + "@p1", 1}, {label + "@pN", ncpu}}, "", nil
 	}
+	return nil, "", fmt.Errorf("unknown -procs value %q (want current, 1, max, or both)", mode)
 }
 
 func header(id, claim string) {

@@ -4,39 +4,43 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// TestParseWorkloadName pins the sized-workload name reader against
-// both generations of records: the dashed names new sweeps emit and the
-// glued kind+size tokens older BENCH files carry.
-func TestParseWorkloadName(t *testing.T) {
-	cases := []struct {
-		name  string
-		group string
-		kind  string
-		n     int
-		ok    bool
-	}{
-		{"scale-color/grid-100000", "scale-color", "grid", 100000, true},
-		{"scale-build/gnp4-1000000", "scale-build", "gnp4", 1000000, true},
-		{"scale-build/gnp41000000", "scale-build", "gnp4", 1000000, true},
-		{"scale-round/chunglu100000", "scale-round", "chunglu", 100000, true},
-		{"store-serve8/grid-100000", "store-serve8", "grid", 100000, true},
-		{"color/gnp-sparse", "", "", 0, false},
-		{"barrier/regular4", "barrier", "regular", 4, true},
-		{"clique-flood/512", "", "", 0, false},
-		{"noslash", "", "", 0, false},
-	}
-	for _, c := range cases {
-		group, kind, n, ok := parseWorkloadName(c.name)
-		if group != c.group || kind != c.kind || n != c.n || ok != c.ok {
-			t.Errorf("parseWorkloadName(%q) = (%q, %q, %d, %v), want (%q, %q, %d, %v)",
-				c.name, group, kind, n, ok, c.group, c.kind, c.n, c.ok)
-		}
-	}
+// TestWorkloadName pins the sized-workload record name: group, slash,
+// kind, dash, size.
+func TestWorkloadName(t *testing.T) {
 	if got := workloadName("scale-color", "grid", 100000); got != "scale-color/grid-100000" {
 		t.Errorf("workloadName = %q", got)
+	}
+}
+
+// TestProcRuns pins the -procs resolution at 4 CPUs and at 1, where
+// "both" must not record an @pN twin of @p1.
+func TestProcRuns(t *testing.T) {
+	for _, c := range []struct {
+		mode     string
+		ncpu     int
+		want     []procRun
+		wantNote bool
+	}{
+		{"current", 4, []procRun{{"x", 0}}, false},
+		{"1", 4, []procRun{{"x", 1}}, false},
+		{"max", 4, []procRun{{"x", 4}}, false},
+		{"both", 4, []procRun{{"x@p1", 1}, {"x@pN", 4}}, false},
+		{"current", 1, []procRun{{"x", 0}}, false},
+		{"1", 1, []procRun{{"x", 1}}, false},
+		{"max", 1, []procRun{{"x", 1}}, true},
+		{"both", 1, []procRun{{"x@p1", 1}}, true},
+	} {
+		runs, note, err := procRuns(c.mode, "x", c.ncpu)
+		if err != nil || !slices.Equal(runs, c.want) || (note != "") != c.wantNote {
+			t.Errorf("procRuns(%q, ncpu=%d) = %v, note %q, err %v; want %v, note %v", c.mode, c.ncpu, runs, note, err, c.want, c.wantNote)
+		}
+	}
+	if _, _, err := procRuns("2", "x", 4); err == nil {
+		t.Error("procRuns accepted -procs 2")
 	}
 }
 

@@ -99,8 +99,8 @@ func main() {
 		log.Fatalf("unknown -lists %q", *lists)
 	}
 
-	fmt.Printf("graph=%s n=%d m=%d Δ=%d D=%d colorspace=%d\n",
-		*graphKind, g.N(), g.M(), g.MaxDegree(), g.Diameter(), inst.C)
+	fmt.Printf("graph=%s n=%d m=%d Δ=%d %s colorspace=%d\n",
+		*graphKind, g.N(), g.M(), g.MaxDegree(), diameterBound(g), inst.C)
 
 	switch *model {
 	case "congest":
@@ -152,6 +152,25 @@ func main() {
 		log.Fatalf("unknown -model %q", *model)
 	}
 	fmt.Println("coloring verified ✓")
+}
+
+// diameterBound labels the diameter D from one BFS from node 0, whose
+// eccentricity e satisfies e ≤ D ≤ 2e: "D∈[e,2e]", or "D=-1" for a
+// disconnected graph and "D=0" for n ≤ 1. The exact Graph.Diameter is
+// one BFS per node, which dominates the whole run on a large graph.
+func diameterBound(g *sb.Graph) string {
+	if g.N() <= 1 {
+		return "D=0"
+	}
+	dist, _ := g.BFS(0)
+	e := 0
+	for _, d := range dist {
+		if d < 0 {
+			return "D=-1"
+		}
+		e = max(e, d)
+	}
+	return fmt.Sprintf("D∈[%d,%d]", e, 2*e)
 }
 
 func buildGraph(kind string, n, d int, p float64, seed uint64) *sb.Graph {

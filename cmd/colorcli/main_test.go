@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	sb "smallbandwidth"
 )
 
 // runCLI invokes main with a fresh flag set and the given arguments.
@@ -184,5 +186,35 @@ func TestCheckpointBannerHonest(t *testing.T) {
 	}
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("every cut checkpointed, but no file: %v", err)
+	}
+}
+
+// TestHeaderBoundsDiameter checks the header's graph line on a path,
+// whose node 0 is an end (eccentricity 9, so D∈[9,18]), and the bound's
+// special cases on graphs without a finite positive diameter.
+func TestHeaderBoundsDiameter(t *testing.T) {
+	const env = "COLORCLI_HEADER_ARGS"
+	if os.Getenv(env) != "" {
+		runCLI(t, strings.Split(os.Getenv(env), " ")...)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "TestHeaderBoundsDiameter")
+	cmd.Env = append(os.Environ(), env+"=-graph path -n 10 -model greedy")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if want := "graph=path n=10 m=9 Δ=2 D∈[9,18] colorspace=3\n"; !strings.Contains(string(out), want) {
+		t.Fatalf("header missing %q:\n%s", want, out)
+	}
+	two, err := sb.FromEdges(3, [][2]int{{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := diameterBound(two); got != "D=-1" {
+		t.Errorf("disconnected: %s, want D=-1", got)
+	}
+	if got := diameterBound(sb.Path(1)); got != "D=0" {
+		t.Errorf("one node: %s, want D=0", got)
 	}
 }

@@ -70,9 +70,6 @@ func NewSim(n, maxWords int) *Sim {
 	return &Sim{n: n, maxWords: maxWords}
 }
 
-// MaxWords returns the per-message bandwidth cap.
-func (s *Sim) MaxWords() int { return s.maxWords }
-
 // Close releases the engine pool. The Sim must not be used afterwards.
 func (s *Sim) Close() {
 	if s.p != nil {

@@ -51,7 +51,8 @@ type Ctx = engine.Ctx
 // Checkpoint/restore types, shared with the engine: a Checkpointer
 // attached to a run collects consistent per-domain cuts at the round
 // barriers in which every node committed its state (Ctx.Commit), and a
-// RunSnapshot restores a run from such cuts (Ctx.Resumed).
+// RunSnapshot restores a run from such cuts. A resumed node program
+// decodes its own committed blob from the snapshot (DomainCut.Nodes).
 type (
 	// Checkpointer collects the cuts of a run.
 	Checkpointer = engine.Checkpointer
@@ -60,10 +61,6 @@ type (
 	RunSnapshot = engine.RunSnapshot
 	// DomainCut is one connected component's consistent cut.
 	DomainCut = engine.DomainCut
-	// NodeCut is one node's committed state in a cut.
-	NodeCut = engine.NodeCut
-	// QueueCut is one directed edge's undelivered backlog in a cut.
-	QueueCut = engine.QueueCut
 )
 
 // Config controls the simulation.

@@ -140,7 +140,7 @@ func TestParallelTreeAggregation10k(t *testing.T) {
 	bad := 0
 	_, err := congest.Run(g, congest.Config{}, func(ctx *congest.Ctx) {
 		tr := congest.BuildBFSTree(ctx, 0)
-		sum := congest.ConvergeSum(ctx, tr, 1, []float64{float64(ctx.ID())})
+		sum := congest.ConvergeSumLockstepTo(ctx, tr, 1, []float64{float64(ctx.ID())}, ctx.Round()+2*tr.Height)
 		if diff := sum[0] - want; diff > 1e-6 || diff < -1e-6 {
 			mu.Lock()
 			bad++

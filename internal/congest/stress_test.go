@@ -1,6 +1,8 @@
 package congest
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -95,9 +97,8 @@ func TestConvergeSumManyOpsStress(t *testing.T) {
 	_, err := Run(g, Config{}, func(ctx *Ctx) {
 		tr := BuildBFSTree(ctx, 0)
 		for op := uint64(0); op < 25; op++ {
-			sum := ConvergeSum(ctx, tr, op, []float64{float64(ctx.ID()) * float64(op+1)})
-			want := float64(g.N()*(g.N()-1)) / 2 * float64(op+1)
-			if diff := sum[0] - want; diff > 1e-9 || diff < -1e-9 {
+			sum := converge(ctx, tr, op, []float64{float64(ctx.ID()) * float64(op+1)})
+			if sum[0] != float64(g.N()*(g.N()-1))/2*float64(op+1) {
 				mu.Lock()
 				bad++
 				mu.Unlock()
@@ -112,6 +113,59 @@ func TestConvergeSumManyOpsStress(t *testing.T) {
 	}
 }
 
+// waveSum is an event-driven aggregation over tr: a node sleeps in
+// NextDelivery until its children's partial sums arrive, sends its own
+// to its parent, sleeps again until the total comes down, and forwards
+// it. Nodes enter and leave each wave in different rounds.
+func waveSum(ctx *Ctx, tr *Tree, op uint64, x float64) float64 {
+	for got := 0; got < len(tr.Children); {
+		for _, in := range ctx.NextDelivery() {
+			if in.Payload[0] != tagUp || in.Payload[1] != op {
+				panic(fmt.Sprintf("node %d: (tag %d, op %d) in the up wave of op %d", ctx.ID(), in.Payload[0], in.Payload[1], op))
+			}
+			x += math.Float64frombits(in.Payload[2])
+			got++
+		}
+	}
+	if tr.Parent != -1 {
+		ctx.Send(tr.Parent, Message{tagUp, op, math.Float64bits(x)})
+		down := ctx.NextDelivery()
+		if len(down) != 1 || down[0].Payload[0] != tagDown || down[0].Payload[1] != op {
+			panic(fmt.Sprintf("node %d: expected the total of op %d, got %d message(s)", ctx.ID(), op, len(down)))
+		}
+		x = math.Float64frombits(down[0].Payload[2])
+	}
+	for _, ch := range tr.Children {
+		ctx.Send(ch, Message{tagDown, op, math.Float64bits(x)})
+	}
+	return x
+}
+
+// TestNextDeliveryWavesStress runs 25 consecutive waveSum waves, so
+// every node sleeps and wakes in NextDelivery 50 times at staggered
+// rounds, and checks every total at every node.
+func TestNextDeliveryWavesStress(t *testing.T) {
+	g := graph.MustRandomRegular(24, 3, 5)
+	var mu sync.Mutex
+	bad := 0
+	_, err := Run(g, Config{}, func(ctx *Ctx) {
+		tr := BuildBFSTree(ctx, 0)
+		for op := uint64(0); op < 25; op++ {
+			if waveSum(ctx, tr, op, float64(ctx.ID())*float64(op+1)) != float64(g.N()*(g.N()-1))/2*float64(op+1) {
+				mu.Lock()
+				bad++
+				mu.Unlock()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 0 {
+		t.Errorf("%d wave totals wrong", bad)
+	}
+}
+
 // TestRootChoiceIrrelevant: the tree primitives work from any root.
 func TestRootChoiceIrrelevant(t *testing.T) {
 	g := graph.Grid2D(4, 5)
@@ -120,7 +174,7 @@ func TestRootChoiceIrrelevant(t *testing.T) {
 		ok := true
 		_, err := Run(g, Config{}, func(ctx *Ctx) {
 			tr := BuildBFSTree(ctx, root)
-			sum := ConvergeSum(ctx, tr, 1, []float64{1})
+			sum := converge(ctx, tr, 1, []float64{1})
 			if sum[0] != float64(g.N()) {
 				mu.Lock()
 				ok = false

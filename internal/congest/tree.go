@@ -11,17 +11,17 @@ const (
 	tagAdopt    uint64 = 1 // [tag, depth, parentID+1] — BFS wave + parent notification
 	tagReport   uint64 = 2 // [tag, height, size] — convergecast of subtree stats
 	tagTreeDone uint64 = 3 // [tag, height<<32|size, syncRound] — downcast of tree completion
-	tagUp       uint64 = 4 // [tag, op, values...] — aggregation chunk toward root
-	tagDown     uint64 = 5 // [tag, op, values...] — broadcast chunk toward leaves
+	tagUp       uint64 = 4 // [tag, op, values...] — partial sum toward the root
+	tagDown     uint64 = 5 // [tag, op, values...] — total toward the leaves
 
 	// UserTagBase is the first tag value available to user protocols.
 	UserTagBase uint64 = 16
 )
 
 // Tree is a node's local view of a BFS spanning tree of the communication
-// graph, produced by BuildBFSTree. Aggregation (ConvergeSum) and
-// broadcast (Broadcast) over the tree are the communication backbone of
-// the derandomization in Lemma 2.6.
+// graph, produced by BuildBFSTree. Aggregation over the tree
+// (ConvergeSumLockstepTo) is the communication backbone of the
+// derandomization in Lemma 2.6.
 type Tree struct {
 	Root     int
 	Parent   int   // parent node ID; -1 at the root
@@ -31,14 +31,14 @@ type Tree struct {
 	Size     int   // number of nodes in the tree (= n for spanning trees)
 	// SubtreeHeight is the height of this node's own subtree (0 at
 	// leaves, Height at the root). It makes the aggregation schedule
-	// locally computable: in a lockstep ConvergeSum all child chunks have
+	// locally computable: in ConvergeSumLockstepTo all child sums have
 	// arrived by start+SubtreeHeight, so the wait can be a single engine
 	// sleep instead of one barrier per round.
 	SubtreeHeight int
 
-	// Reusable ConvergeSumLockstep scratch (see that function): the
+	// Reusable ConvergeSumLockstepTo scratch (see that function): the
 	// result vector and the outgoing message buffers of the node's last
-	// lockstep aggregation. The derandomization fixes one seed bit per
+	// aggregation. The derandomization fixes one seed bit per
 	// aggregation — millions per run — and reusing these buffers makes
 	// the steady-state aggregation allocation-free.
 	convAcc  []float64
@@ -194,151 +194,37 @@ func BuildBFSTree(ctx *Ctx, root int) *Tree {
 	}
 }
 
-// ConvergeSum computes the component-wise sum over all nodes of the given
-// float64 vector (same length everywhere) and returns the total at every
-// node: an up-phase aggregates along the tree, then a down-phase
-// broadcasts the result. Chunks are pipelined through the per-edge FIFOs,
-// so one invocation costs O(Height + len(vec)/chunk) rounds. op tags the
-// invocation for cross-phase assertion only. The loop is message-driven,
-// so nodes may enter at staggered rounds (e.g. straight out of a
-// previous ConvergeSum); see ConvergeSumLockstep for the skip-scheduled
-// variant used on the derandomization hot path.
-func ConvergeSum(ctx *Ctx, t *Tree, op uint64, vec []float64) []float64 {
-	l := len(vec)
-	if l == 0 {
-		panic("congest: ConvergeSum of empty vector")
-	}
-	vals := ctx.MaxWords() - 2
-	if vals < 1 {
-		panic("congest: MaxWords too small for tree aggregation")
-	}
-	chunks := (l + vals - 1) / vals
-
-	acc := make([]float64, l)
-	copy(acc, vec)
-	result := make([]float64, l)
-	childChunks := make(map[int]int, len(t.Children))
-	pendingChildren := len(t.Children)
-	downChunks := 0
-
-	sendChunks := func(to int, data []float64, tag uint64) {
-		for c := 0; c < chunks; c++ {
-			lo := c * vals
-			hi := min(lo+vals, l)
-			msg := make(Message, 0, 2+hi-lo)
-			msg = append(msg, tag, op)
-			for _, f := range data[lo:hi] {
-				msg = append(msg, math.Float64bits(f))
-			}
-			ctx.SendQueued(to, msg)
-		}
-	}
-	startDown := func() []float64 {
-		copy(result, acc)
-		for _, ch := range t.Children {
-			sendChunks(ch, result, tagDown)
-		}
-		return result
-	}
-
-	if pendingChildren == 0 {
-		if t.Parent == -1 {
-			return startDown()
-		}
-		sendChunks(t.Parent, acc, tagUp)
-	}
-	upDone := pendingChildren == 0
-
-	for {
-		for _, in := range ctx.Next() {
-			tag := in.Payload[0]
-			switch tag {
-			case tagUp:
-				if in.Payload[1] != op {
-					panic(fmt.Sprintf("congest: node %d got up-chunk op %d during op %d",
-						ctx.ID(), in.Payload[1], op))
-				}
-				c := childChunks[in.From]
-				lo := c * vals
-				for i, w := range in.Payload[2:] {
-					acc[lo+i] += math.Float64frombits(w)
-				}
-				childChunks[in.From] = c + 1
-				if c+1 == chunks {
-					pendingChildren--
-					if pendingChildren == 0 && !upDone {
-						upDone = true
-						if t.Parent == -1 {
-							return startDown()
-						}
-						sendChunks(t.Parent, acc, tagUp)
-					}
-				}
-			case tagDown:
-				if in.Payload[1] != op {
-					panic(fmt.Sprintf("congest: node %d got down-chunk op %d during op %d",
-						ctx.ID(), in.Payload[1], op))
-				}
-				lo := downChunks * vals
-				for i, w := range in.Payload[2:] {
-					result[lo+i] = math.Float64frombits(w)
-				}
-				// Forward this chunk immediately (pipelining).
-				for _, ch := range t.Children {
-					fwd := make(Message, len(in.Payload))
-					copy(fwd, in.Payload)
-					ctx.SendQueued(ch, fwd)
-				}
-				downChunks++
-				if downChunks == chunks {
-					return result
-				}
-			default:
-				panic(fmt.Sprintf("congest: unexpected tag %d during ConvergeSum", tag))
-			}
-		}
-	}
-}
-
-// ConvergeSumLockstep is the skip-scheduled ConvergeSum for the
-// derandomization hot path: it requires that every tree node enters in
-// the *same* round (as after BuildBFSTree or a SpinUntil
-// resynchronization) and that the vector fits one message
-// (len(vec) ≤ MaxWords−2). Under that contract every message's round is
-// known in advance — child chunks have all arrived by
-// start+SubtreeHeight, the down-chunk arrives exactly at
-// start+Height+Depth — so the waits run as single engine sleeps
-// (SkipUntil) instead of one barrier wake-up per round, while the
-// message timing, Stats, and results stay round-for-round identical to
-// ConvergeSum. A violated contract surfaces as a protocol panic, not a
-// wrong sum.
+// ConvergeSumLockstepTo computes the component-wise sum of vec over all
+// nodes of the tree (same length everywhere, at most MaxWords−2 values)
+// and returns the total at every node in round until. Every tree node
+// must enter in the same round start, as after BuildBFSTree or a
+// SpinUntil, and until must be at least start+Height+Depth at every
+// node (start+2·Height covers them all). Under that contract every
+// message's round is known in advance:
+//
+//   - up: a node sends its partial sum to its parent in round
+//     start+SubtreeHeight, so all child sums have arrived by then;
+//   - down: the root holds the total in round start+Height and sends it
+//     to its children; the copy reaches depth d in round
+//     start+Height+d, and each node forwards it on arrival.
+//
+// One call therefore costs 2(Size−1) messages of len(vec)+2 words. The
+// waits run as single engine sleeps (SkipUntil) instead of one barrier
+// wake-up per round, and a childless node fuses its wait for the total
+// with the trailing sleep to until. A violated contract surfaces as a
+// protocol panic, not a wrong sum.
 //
 // The returned slice and the outgoing message buffers live on the Tree
-// and are reused by the next ConvergeSumLockstep call on it (the
-// derandomization runs one aggregation per seed bit, and this reuse
-// makes the steady state allocation-free): callers must copy the result
-// before aggregating again.
-func ConvergeSumLockstep(ctx *Ctx, t *Tree, op uint64, vec []float64) []float64 {
-	return convergeSumLockstep(ctx, t, op, vec, -1)
-}
-
-// ConvergeSumLockstepTo is ConvergeSumLockstep followed by a SpinUntil
-// to the given absolute round, fused: a node without children has
-// nothing to forward, so its wait for the down-chunk and the
-// resynchronization spin collapse into a single engine sleep — one
-// wake-up fewer per aggregation for every leaf of the tree, at
-// identical rounds, messages, and Stats. Requires until ≥ the round the
-// plain ConvergeSumLockstep would finish in (start+Height+Depth).
+// and are reused by the next call on it (the derandomization runs one
+// aggregation per seed bit, and this reuse makes the steady state
+// allocation-free): callers must copy the result before aggregating
+// again.
 func ConvergeSumLockstepTo(ctx *Ctx, t *Tree, op uint64, vec []float64, until int) []float64 {
-	return convergeSumLockstep(ctx, t, op, vec, until)
-}
-
-func convergeSumLockstep(ctx *Ctx, t *Tree, op uint64, vec []float64, until int) []float64 {
 	if len(vec) == 0 {
-		panic("congest: ConvergeSumLockstep of empty vector")
+		panic("congest: ConvergeSumLockstepTo of empty vector")
 	}
 	if len(vec) > ctx.MaxWords()-2 {
-		panic("congest: ConvergeSumLockstep vector exceeds one message")
+		panic("congest: ConvergeSumLockstepTo vector exceeds one message")
 	}
 	start := ctx.Round()
 	l := len(vec)
@@ -416,64 +302,6 @@ func convergeSumLockstep(ctx *Ctx, t *Tree, op uint64, vec []float64, until int)
 		spinUntil(ctx, until)
 	}
 	return result
-}
-
-// Broadcast distributes the root's words to every node over the tree and
-// returns them; non-root nodes pass nil. All nodes must agree on
-// expectLen. Costs O(Height + expectLen/chunk) rounds.
-func Broadcast(ctx *Ctx, t *Tree, op uint64, words []uint64, expectLen int) []uint64 {
-	if expectLen == 0 {
-		panic("congest: Broadcast of empty payload")
-	}
-	vals := ctx.MaxWords() - 2
-	if vals < 1 {
-		panic("congest: MaxWords too small for tree broadcast")
-	}
-	chunks := (expectLen + vals - 1) / vals
-	if t.Parent == -1 {
-		if len(words) != expectLen {
-			panic(fmt.Sprintf("congest: root broadcast of %d words, expected %d", len(words), expectLen))
-		}
-		for c := 0; c < chunks; c++ {
-			lo := c * vals
-			hi := min(lo+vals, expectLen)
-			for _, ch := range t.Children {
-				msg := make(Message, 0, 2+hi-lo)
-				msg = append(msg, tagDown, op)
-				msg = append(msg, words[lo:hi]...)
-				ctx.SendQueued(ch, msg)
-			}
-		}
-		return words
-	}
-	result := make([]uint64, expectLen)
-	got := 0
-	for {
-		for _, in := range ctx.Next() {
-			if in.Payload[0] != tagDown || in.Payload[1] != op {
-				panic(fmt.Sprintf("congest: unexpected message (tag %d op %d) during Broadcast op %d",
-					in.Payload[0], in.Payload[1], op))
-			}
-			lo := got * vals
-			copy(result[lo:], in.Payload[2:])
-			for _, ch := range t.Children {
-				fwd := make(Message, len(in.Payload))
-				copy(fwd, in.Payload)
-				ctx.SendQueued(ch, fwd)
-			}
-			got++
-			if got == chunks {
-				return result
-			}
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // spinUntil advances rounds (delivering nothing) until the given absolute

@@ -1,7 +1,7 @@
 package congest
 
 import (
-	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,139 +113,70 @@ func TestBFSTreeRoundsProportionalToDiameter(t *testing.T) {
 	}
 }
 
+// converge is one ConvergeSumLockstepTo at the tightest legal schedule:
+// every node returns in round start+2·Height.
+func converge(ctx *Ctx, tr *Tree, op uint64, vec []float64) []float64 {
+	return ConvergeSumLockstepTo(ctx, tr, op, vec, ctx.Round()+2*tr.Height)
+}
+
+// TestConvergeSumAllNodes pins ConvergeSumLockstepTo's closed forms
+// against a tree-only run on the same graph: exactly 2(n−1) messages of
+// len(vec)+2 words, every node back in round until, and the exact sums
+// at every node.
 func TestConvergeSumAllNodes(t *testing.T) {
 	for _, g := range []*graph.Graph{
-		graph.Path(12), graph.Grid2D(4, 5), graph.Star(9), graph.Path(1),
+		graph.Path(12), graph.Grid2D(4, 5), graph.Star(9), graph.BinaryTree(15), graph.Path(1),
 	} {
 		n := g.N()
+		treeOnly, err := Run(g, Config{}, func(ctx *Ctx) { BuildBFSTree(ctx, 0) })
+		if err != nil {
+			t.Fatal(err)
+		}
 		results := make([][]float64, n)
+		late := 0
 		var mu sync.Mutex
-		_, err := Run(g, Config{}, func(ctx *Ctx) {
+		st, err := Run(g, Config{}, func(ctx *Ctx) {
 			tr := BuildBFSTree(ctx, 0)
 			vec := []float64{float64(ctx.ID()), 1.0}
-			sum := ConvergeSum(ctx, tr, 1, vec)
+			until := ctx.Round() + 2*tr.Height + 3
+			sum := ConvergeSumLockstepTo(ctx, tr, 1, vec, until)
 			mu.Lock()
-			results[ctx.ID()] = sum
+			results[ctx.ID()] = slices.Clone(sum)
+			if ctx.Round() != until {
+				late++
+			}
 			mu.Unlock()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSum := float64(n*(n-1)) / 2
+		if late != 0 {
+			t.Errorf("n=%d: %d nodes did not return in round until", n, late)
+		}
+		const width = 2 + 2 // tag, op and the two values
+		if msgs, words := st.Messages-treeOnly.Messages, st.Words-treeOnly.Words; msgs != int64(2*(n-1)) || words != int64(2*(n-1)*width) {
+			t.Errorf("n=%d: aggregation cost %d messages, %d words; want %d, %d", n, msgs, words, 2*(n-1), 2*(n-1)*width)
+		}
+		want := []float64{float64(n*(n-1)) / 2, float64(n)}
 		for v, res := range results {
-			if res == nil {
-				t.Fatalf("node %d got no result", v)
-			}
-			if math.Abs(res[0]-wantSum) > 1e-9 || math.Abs(res[1]-float64(n)) > 1e-9 {
-				t.Errorf("node %d sum = %v, want [%v %v]", v, res, wantSum, float64(n))
+			if !slices.Equal(res, want) {
+				t.Errorf("n=%d node %d sum = %v, want %v", n, v, res, want)
 			}
 		}
-	}
-}
-
-// TestConvergeSumLockstepMatchesGeneric: the skip-scheduled aggregation
-// must return the same sums at every node and consume identical Stats as
-// the message-driven loop on the same tree.
-func TestConvergeSumLockstepMatchesGeneric(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		graph.Path(12), graph.Grid2D(4, 5), graph.Star(9), graph.BinaryTree(15), graph.Path(1),
-	} {
-		n := g.N()
-		run := func(lockstep bool) ([][]float64, Stats) {
-			t.Helper()
-			results := make([][]float64, n)
-			var mu sync.Mutex
-			st, err := Run(g, Config{}, func(ctx *Ctx) {
-				tr := BuildBFSTree(ctx, 0)
-				vec := []float64{float64(ctx.ID()), 1.0}
-				var sum []float64
-				if lockstep {
-					sum = ConvergeSumLockstep(ctx, tr, 1, vec)
-				} else {
-					sum = ConvergeSum(ctx, tr, 1, vec)
-				}
-				// Resynchronize so both variants end in the same round.
-				SpinUntil(ctx, 4*tr.Height+40)
-				mu.Lock()
-				results[ctx.ID()] = sum
-				mu.Unlock()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return results, *st
-		}
-		generic, gStats := run(false)
-		lockstep, lStats := run(true)
-		if gStats != lStats {
-			t.Errorf("n=%d: lockstep stats %+v differ from generic %+v", n, lStats, gStats)
-		}
-		for v := range generic {
-			for i := range generic[v] {
-				if generic[v][i] != lockstep[v][i] {
-					t.Fatalf("n=%d node %d component %d: %v vs %v", n, v, i, lockstep[v][i], generic[v][i])
-				}
-			}
-		}
-	}
-}
-
-func TestConvergeSumLongVectorChunked(t *testing.T) {
-	// Vector longer than one message forces chunking + pipelining.
-	g := graph.Path(6)
-	const l = 9
-	var mu sync.Mutex
-	results := make([][]float64, g.N())
-	st, err := Run(g, Config{MaxWords: 3}, func(ctx *Ctx) { // 1 value per chunk
-		tr := BuildBFSTree(ctx, 0)
-		vec := make([]float64, l)
-		for i := range vec {
-			vec[i] = float64(ctx.ID()*100 + i)
-		}
-		sum := ConvergeSum(ctx, tr, 7, vec)
-		mu.Lock()
-		results[ctx.ID()] = sum
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < l; i++ {
-		want := 0.0
-		for v := 0; v < g.N(); v++ {
-			want += float64(v*100 + i)
-		}
-		for v := range results {
-			if math.Abs(results[v][i]-want) > 1e-9 {
-				t.Fatalf("component %d at node %d: got %v want %v", i, v, results[v][i], want)
-			}
-		}
-	}
-	if st.MaxMessageWords > 3 {
-		t.Errorf("bandwidth cap violated: %d", st.MaxMessageWords)
 	}
 }
 
 func TestSequentialOps(t *testing.T) {
-	// Several converge+broadcast ops back to back must not interfere.
+	// Several converges back to back must not interfere: each call
+	// reuses the Tree's buffers of the one before.
 	g := graph.Grid2D(3, 4)
 	var mu sync.Mutex
 	bad := false
 	_, err := Run(g, Config{}, func(ctx *Ctx) {
 		tr := BuildBFSTree(ctx, 0)
 		for op := uint64(0); op < 5; op++ {
-			sum := ConvergeSum(ctx, tr, op, []float64{1})
-			if sum[0] != float64(g.N()) {
-				mu.Lock()
-				bad = true
-				mu.Unlock()
-			}
-			var words []uint64
-			if ctx.ID() == 0 {
-				words = []uint64{op * 3, op * 5}
-			}
-			got := Broadcast(ctx, tr, 100+op, words, 2)
-			if got[0] != op*3 || got[1] != op*5 {
+			sum := converge(ctx, tr, op, []float64{1, float64(op)})
+			if sum[0] != float64(g.N()) || sum[1] != float64(g.N())*float64(op) {
 				mu.Lock()
 				bad = true
 				mu.Unlock()
@@ -257,32 +188,5 @@ func TestSequentialOps(t *testing.T) {
 	}
 	if bad {
 		t.Error("sequential tree ops interfered")
-	}
-}
-
-func TestBroadcastFromRoot(t *testing.T) {
-	g := graph.BinaryTree(15)
-	var mu sync.Mutex
-	results := make([][]uint64, g.N())
-	_, err := Run(g, Config{}, func(ctx *Ctx) {
-		tr := BuildBFSTree(ctx, 0)
-		var words []uint64
-		if ctx.ID() == 0 {
-			words = []uint64{11, 22, 33, 44, 55}
-		}
-		got := Broadcast(ctx, tr, 1, words, 5)
-		mu.Lock()
-		results[ctx.ID()] = got
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, res := range results {
-		for i, want := range []uint64{11, 22, 33, 44, 55} {
-			if res[i] != want {
-				t.Fatalf("node %d word %d = %d, want %d", v, i, res[i], want)
-			}
-		}
 	}
 }

@@ -272,19 +272,6 @@ func TestDisconnectedRunsInOneEngineRun(t *testing.T) {
 	if err := inst.VerifyColoring(res.Colors); err != nil {
 		t.Fatal(err)
 	}
-	// The compatibility delegate must agree bit for bit.
-	res2, err := ListColorComponents(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats != res.Stats {
-		t.Errorf("ListColorComponents stats %+v differ from ListColorCONGEST %+v", res2.Stats, res.Stats)
-	}
-	for v := range res.Colors {
-		if res.Colors[v] != res2.Colors[v] {
-			t.Fatalf("delegate colored node %d differently", v)
-		}
-	}
 }
 
 // TestDisconnectedStatsAreParallelComposition pins the accounting of one

@@ -114,7 +114,7 @@ func TestComponentsWithIsolatedNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := graph.DeltaPlusOneInstance(g)
-	res, err := ListColorComponents(inst, Options{})
+	res, err := ListColorCONGEST(inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"smallbandwidth/internal/gf2"
 	"smallbandwidth/internal/graph"
@@ -113,74 +112,6 @@ func (st *PrefixState) StepSeeded(src *prng.Source, psi []uint64, fam *gf2.Famil
 	return st.step(bits)
 }
 
-// StepSeededBlock runs one phase drawing lanes ≤ 64 candidate seeds at
-// once and committing the one whose resulting potential Φ_{ℓ+1} is
-// smallest (ties to the lowest lane). Every node's coin is evaluated
-// against all lanes through the bit-sliced kernels (gf2.Coin.ValueBlock:
-// one plane-XOR pass covers the whole block), so trying 64 seeds costs
-// about as much as the scalar StepSeeded path evaluates one. Lemma 2.2
-// guarantees a seed with Φ_{ℓ+1} ≤ E[Φ_{ℓ+1}] ≤ Φ_ℓ exists; sampling a
-// block and keeping the argmin finds a non-increasing seed with failure
-// probability exponentially small in the lane count, without the
-// conditional-expectation machinery. The scalar path is the differential
-// oracle: lane k's outcome word reproduces coin.Value(seed_k) bit for bit
-// (TestStepSeededBlockMatchesScalar). Returns the chosen lane.
-func (st *PrefixState) StepSeededBlock(src *prng.Source, psi []uint64, fam *gf2.Family, b int, lanes int) (int, error) {
-	if lanes < 1 || lanes > 64 {
-		return 0, fmt.Errorf("core: StepSeededBlock lanes=%d out of range [1,64]", lanes)
-	}
-	bitPos := st.LogC - st.Phase - 1
-	sb := new(gf2.SeedBlock)
-	for k := 0; k < lanes; k++ {
-		seed := gf2.Vec128{Lo: src.Uint64(), Hi: src.Uint64()}
-		for i := fam.SeedBits(); i < 128; i++ {
-			seed = seed.WithBit(i, false)
-		}
-		sb.SetLane(k, seed)
-	}
-	n := len(st.Cands)
-	out := make([]uint64, n)
-	k1s := make([]int, n)
-	for v := range st.Cands {
-		k1s[v] = countBitOnes(st.Cands[v], bitPos)
-		coin, err := gf2.NewCoin(fam, psi[v], b, uint64(k1s[v]), uint64(len(st.Cands[v])))
-		if err != nil {
-			return 0, err
-		}
-		out[v] = coin.ValueBlock(sb)
-	}
-	best, bestPot := 0, math.Inf(1)
-	for k := 0; k < lanes; k++ {
-		pot, dead := 0.0, false
-		for v := range st.Cands {
-			one := out[v]>>k&1 == 1
-			size := k1s[v]
-			if !one {
-				size = len(st.Cands[v]) - k1s[v]
-			}
-			if size == 0 {
-				dead = true // this lane empties v's candidate set; never pick it over a live lane
-				break
-			}
-			deg := 0
-			for _, w := range st.Conf[v] {
-				if (out[w]>>k&1 == 1) == one {
-					deg++
-				}
-			}
-			pot += float64(deg) / float64(size)
-		}
-		if !dead && pot < bestPot {
-			best, bestPot = k, pot
-		}
-	}
-	bits := make([]bool, n)
-	for v := range out {
-		bits[v] = out[v]>>best&1 == 1
-	}
-	return best, st.step(bits)
-}
-
 // CandidateColors returns each node's single candidate after all phases.
 func (st *PrefixState) CandidateColors() ([]uint32, error) {
 	if !st.Done() {
@@ -194,16 +125,4 @@ func (st *PrefixState) CandidateColors() ([]uint32, error) {
 		out[v] = c[0]
 	}
 	return out, nil
-}
-
-// ListColorComponents solves the instance on a possibly-disconnected
-// graph. Historically this stitched one sequential ListColorCONGEST run
-// per connected component; ListColorCONGEST is component-aware now (every
-// component runs in parallel inside one sharded engine run, with Rounds
-// the max over components and Messages/Words the sums), so this is a
-// plain delegate kept for callers of the old entry point. Unlike the old
-// stitcher it never shares the caller's list backing arrays with a
-// sub-instance — the node programs copy their lists at init.
-func ListColorComponents(inst *graph.Instance, opts Options) (*Result, error) {
-	return ListColorCONGEST(inst, opts)
 }

@@ -180,114 +180,6 @@ func TestSeededProcessNeverEmpties(t *testing.T) {
 	}
 }
 
-// TestStepSeededBlockMatchesScalar: the bit-sliced best-of-64 phase step
-// must be an exact refinement of the scalar path — regenerating the same
-// seed block from a twin prng stream and evaluating the chosen lane with
-// the scalar Coin.Value oracle must reproduce the committed state bit for
-// bit.
-func TestStepSeededBlockMatchesScalar(t *testing.T) {
-	for _, lanes := range []int{1, 3, 64} {
-		g := graph.GNP(30, 0.2, 4)
-		inst := graph.DeltaPlusOneInstance(g)
-		p, err := ComputeParams(inst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		psiRaw, _, err := linial.ColorGraph(adjOf(g), g.MaxDegree())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, _ := NewPrefixState(inst)
-		ref, _ := NewPrefixState(inst)
-		src := prng.New(77)
-		twin := prng.New(77)
-		for !fast.Done() {
-			bitPos := fast.LogC - fast.Phase - 1
-			k1s := make([]int, len(ref.Cands))
-			for v := range ref.Cands {
-				k1s[v] = countBitOnes(ref.Cands[v], bitPos)
-			}
-			lane, err := fast.StepSeededBlock(src, psiRaw, p.Fam, p.B, lanes)
-			if err != nil {
-				t.Fatalf("lanes=%d phase %d: %v", lanes, ref.Phase, err)
-			}
-			// Twin stream: rebuild the block's seeds and replay the chosen
-			// lane through the scalar oracle.
-			seeds := make([]gf2.Vec128, lanes)
-			for k := range seeds {
-				s := gf2.Vec128{Lo: twin.Uint64(), Hi: twin.Uint64()}
-				for i := p.Fam.SeedBits(); i < 128; i++ {
-					s = s.WithBit(i, false)
-				}
-				seeds[k] = s
-			}
-			bits := make([]bool, len(ref.Cands))
-			for v := range ref.Cands {
-				coin, err := gf2.NewCoin(p.Fam, psiRaw[v], p.B, uint64(k1s[v]), uint64(len(ref.Cands[v])))
-				if err != nil {
-					t.Fatal(err)
-				}
-				bits[v] = coin.Value(seeds[lane])
-			}
-			if err := ref.step(bits); err != nil {
-				t.Fatalf("lanes=%d scalar replay phase %d: %v", lanes, ref.Phase, err)
-			}
-			for v := range fast.Cands {
-				if len(fast.Cands[v]) != len(ref.Cands[v]) || len(fast.Conf[v]) != len(ref.Conf[v]) {
-					t.Fatalf("lanes=%d phase %d node %d: block state diverged from scalar replay", lanes, ref.Phase, v)
-				}
-				for i := range fast.Cands[v] {
-					if fast.Cands[v][i] != ref.Cands[v][i] {
-						t.Fatalf("lanes=%d node %d: candidate %d differs", lanes, v, i)
-					}
-				}
-			}
-		}
-		if _, err := fast.CandidateColors(); err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-	}
-}
-
-// TestStepSeededBlockPrefersLivePhases: with a full 64-lane block the
-// argmin-potential choice keeps the process alive and non-increasing far
-// more reliably than a single sample; check that full runs complete on a
-// denser graph and that the potential never increases across any phase
-// (a strictly stronger guarantee than Lemma 2.3's expectation bound,
-// available here because the block can reject bad seeds).
-func TestStepSeededBlockPrefersLivePhases(t *testing.T) {
-	g := graph.MustRandomRegular(24, 4, 5)
-	inst := graph.DeltaPlusOneInstance(g)
-	p, err := ComputeParams(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psiRaw, _, err := linial.ColorGraph(adjOf(g), g.MaxDegree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		st, _ := NewPrefixState(inst)
-		src := prng.New(uint64(trial) + 7)
-		for !st.Done() {
-			before := st.Potential()
-			if _, err := st.StepSeededBlock(src, psiRaw, p.Fam, p.B, 64); err != nil {
-				t.Fatalf("trial %d phase %d: %v", trial, st.Phase, err)
-			}
-			// ε-bias rounds each probability up by < 2^−b, so allow the
-			// lemma's additive slack on top of strict non-increase.
-			slack := 10.0 / float64(int(1)<<p.B) * float64(p.Delta) * float64(g.N())
-			if after := st.Potential(); after > before+slack {
-				t.Fatalf("trial %d phase %d: potential rose %v -> %v beyond ε slack %v",
-					trial, st.Phase, before, after, slack)
-			}
-		}
-		if _, err := st.CandidateColors(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestEdgeExpectationMatchesCensus: E[X_e] from the engine equals the
 // explicit census over all seeds on a small family.
 func TestEdgeExpectationMatchesCensus(t *testing.T) {

@@ -12,10 +12,11 @@
 // committed at exactly R. If so, blobs + staged backlog + staged Stats
 // form a consistent cut: every message a blob has "seen" is out of the
 // queues, every message still in a queue is in the cut, and
-// Stats.Rounds == R. Resuming restores the round counter, Stats, queue
-// backlog, and hands each node its blob through Ctx.Resumed — the
-// continuation is bit-identical to the uninterrupted run because the
-// engine is deterministic and the cut captured its entire state.
+// Stats.Rounds == R. Resuming restores the round counter, Stats and
+// queue backlog, and the program rebuilds each node's state from the
+// node's blob in the snapshot — the continuation is bit-identical to the
+// uninterrupted run because the engine is deterministic and the cut
+// captured its entire state.
 //
 // Round barriers are consistent cuts precisely because the engine is a
 // lockstep barrier machine: at a barrier no node is mid-round, delivery
@@ -72,9 +73,9 @@ type DomainCut struct {
 
 // RunSnapshot is a consistent cut of a whole run: at most one DomainCut
 // per lockstep domain, ordered by root. Domains without a cut resume
-// from scratch (their nodes see Resumed() == nil), which is exactly
-// right — domains are independent, so a run restored from per-domain
-// cuts taken at different rounds is still a legal global state.
+// from scratch, which is exactly right — domains are independent, so a
+// run restored from per-domain cuts taken at different rounds is still
+// a legal global state.
 type RunSnapshot struct {
 	Cuts []DomainCut
 }
@@ -233,13 +234,6 @@ func (c *Ctx) CommitFinal(blob []byte) {
 	c.commitValid = true
 	c.commitDone = true
 }
-
-// Resumed returns the blob this node committed in the cut the run was
-// resumed from, or nil when the node starts fresh. The program must
-// rebuild its state from the blob and proceed exactly as it would have:
-// the engine has already restored the round counter, Stats, and queue
-// backlog, and the node must not re-consume what the blob reflects.
-func (c *Ctx) Resumed() []byte { return c.resumeBlob }
 
 // stageCut snapshots the leader-side half of a potential cut at the
 // barrier entering round r.round, after delivery and before any node
@@ -408,10 +402,10 @@ func validateCut(cut *DomainCut, comp []int32, degreeOf func(int) int32, cfg Con
 }
 
 // restoreCut applies a validated cut to a freshly carved domain, before
-// any node goroutine starts: round counter and Stats, per-node blobs
-// (done nodes keep their final blob and are never spawned), and the
-// queued backlog, re-activating the dirty accounting through the same
-// noteQueued path live sends use.
+// any node goroutine starts: round counter and Stats, the final blobs of
+// done nodes (which are never spawned), and the queued backlog,
+// re-activating the dirty accounting through the same noteQueued path
+// live sends use.
 func (r *runner) restoreCut(cut *DomainCut) {
 	r.round = cut.Round
 	r.stats = cut.Stats
@@ -423,8 +417,6 @@ func (r *runner) restoreCut(cut *DomainCut) {
 			c.commitValid = true
 			c.commitRound = cut.Round
 			c.commitBlob = slices.Clone(nc.Blob)
-		} else {
-			c.resumeBlob = slices.Clone(nc.Blob)
 		}
 	}
 	for qi := range cut.Queues {

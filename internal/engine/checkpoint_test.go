@@ -67,12 +67,21 @@ func stepUnblob(b []byte) (iter int, sum uint64) {
 // a genuine multi-round backlog, so some cuts carry non-empty queues).
 // The checksum folds in sender order, so any deviation in delivery
 // content or order on a resumed run changes the final value. finals[v]
-// receives node v's checksum (disjoint indexes, no lock needed).
-func stepProgram(rounds int, finals []uint64) func(*engine.Ctx) {
+// receives node v's checksum (disjoint indexes, no lock needed). A node
+// of a domain cut in snap resumes from its own blob there.
+func stepProgram(rounds int, finals []uint64, snap *engine.RunSnapshot) func(*engine.Ctx) {
+	resumed := map[int][]byte{}
+	if snap != nil {
+		for _, cut := range snap.Cuts {
+			for _, nc := range cut.Nodes {
+				resumed[int(nc.ID)] = nc.Blob
+			}
+		}
+	}
 	return func(ctx *engine.Ctx) {
 		sum := uint64(0)
 		start := 0
-		if b := ctx.Resumed(); b != nil {
+		if b, ok := resumed[ctx.ID()]; ok {
 			start, sum = stepUnblob(b)
 		}
 		for iter := start; iter < rounds; iter++ {
@@ -105,7 +114,7 @@ func stepProgram(rounds int, finals []uint64) func(*engine.Ctx) {
 func runStep(t *testing.T, top engine.Topology, rounds int, ck *engine.Checkpointer, snap *engine.RunSnapshot) ([]uint64, *engine.Stats) {
 	t.Helper()
 	finals := make([]uint64, top.N())
-	st, err := engine.Run(top, engine.Config{Checkpoint: ck, Resume: snap}, stepProgram(rounds, finals))
+	st, err := engine.Run(top, engine.Config{Checkpoint: ck, Resume: snap}, stepProgram(rounds, finals, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestResumeValidation(t *testing.T) {
 		snap := ck.At(mid)
 		c.warp(snap)
 		finals := make([]uint64, n)
-		_, err := engine.Run(top, engine.Config{Resume: snap}, stepProgram(rounds, finals))
+		_, err := engine.Run(top, engine.Config{Resume: snap}, stepProgram(rounds, finals, snap))
 		if err == nil {
 			t.Fatalf("%s: corrupted snapshot was accepted", c.name)
 		}

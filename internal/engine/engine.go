@@ -35,7 +35,7 @@
 // The engine is parameterized over an endpoint Topology. The CONGEST
 // simulator (internal/congest) is a thin adapter passing its
 // communication graph and running blocking per-node programs through
-// Run. The CLIQUE simulator runs its data-parallel all-to-all exchanges
+// RunWithDomains. The CLIQUE simulator runs its data-parallel all-to-all exchanges
 // on the same Pool via Scatter (all-to-all topology), and the MPC
 // Section 5 tools move records machine-to-machine through the Pool with
 // the per-round IO accounting folded into the shard workers.
@@ -70,8 +70,7 @@ type Directed struct {
 
 // Topology describes the endpoint structure the engine runs on: a fixed
 // set of endpoints 0..N-1 and, for each, the sorted list of peers it may
-// exchange messages with. *graph.Graph satisfies it directly (CONGEST);
-// AllToAll is the CONGESTED CLIQUE structure.
+// exchange messages with. *graph.Graph satisfies it directly.
 type Topology interface {
 	N() int
 	// Neighbors returns the sorted peer IDs of v. The engine retains the
@@ -83,9 +82,9 @@ type Topology interface {
 // topology stored in compressed-sparse-row form exposes its offset
 // table and arc arena so the engine's setup reads degrees straight off
 // the offset table and slices neighbor rows out of the arena, instead
-// of materializing each row through the interface. *graph.Graph and
-// AllToAll both satisfy it; topologies that don't are handled through
-// the plain Neighbors path at identical behavior.
+// of materializing each row through the interface. *graph.Graph
+// satisfies it; topologies that don't are handled through the plain
+// Neighbors path at identical behavior.
 type ArcTopology interface {
 	Topology
 	// CSR returns the offset table (len N()+1) and arc arena: endpoint
@@ -94,45 +93,7 @@ type ArcTopology interface {
 	CSR() (off, nbr []int32)
 }
 
-// AllToAll is the complete topology on n endpoints: every endpoint is a
-// peer of every other, as in the CONGESTED CLIQUE. It materializes the
-// n·(n−1) arcs in one flat CSR arena, which is inherent to running
-// per-node programs on a clique; the data-parallel clique simulator
-// avoids it by exchanging through Scatter instead.
-type AllToAll struct {
-	n   int
-	off []int32
-	nbr []int32
-}
-
-// NewAllToAll builds the complete topology on n endpoints.
-func NewAllToAll(n int) *AllToAll {
-	if n > 0 && n*(n-1) > (1<<31)-1 {
-		panic(fmt.Sprintf("engine: AllToAll(%d) exceeds the int32 arc space", n))
-	}
-	off := make([]int32, n+1)
-	nbr := make([]int32, 0, n*(n-1))
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int32(n-1)
-		for u := 0; u < n; u++ {
-			if u != v {
-				nbr = append(nbr, int32(u))
-			}
-		}
-	}
-	return &AllToAll{n: n, off: off, nbr: nbr}
-}
-
-// N returns the endpoint count.
-func (a *AllToAll) N() int { return a.n }
-
-// Neighbors returns the peers of v (all other endpoints), sorted.
-func (a *AllToAll) Neighbors(v int) []int32 { return a.nbr[a.off[v]:a.off[v+1]] }
-
-// CSR returns the flat all-to-all layout.
-func (a *AllToAll) CSR() (off, nbr []int32) { return a.off, a.nbr }
-
-// Config controls a Run.
+// Config controls a run.
 type Config struct {
 	// MaxWords is the bandwidth cap per edge per direction per round, in
 	// 64-bit words. Zero means the default of 4 words (≈ 4·64 bits, a
@@ -162,9 +123,10 @@ type Config struct {
 	// quiescent point the leader can capture without locks.
 	Checkpoint *Checkpointer
 	// Resume, when non-nil, restores each domain from its cut in the
-	// snapshot before any node program starts: round counter, Stats,
-	// queued backlog, and per-node blobs (via Ctx.Resumed). Domains
-	// without a cut start fresh; nodes marked done are never spawned.
+	// snapshot before any node program starts: round counter, Stats and
+	// queued backlog; the program reads its nodes' blobs from the
+	// snapshot itself. Domains without a cut start fresh; nodes marked
+	// done are never spawned.
 	Resume *RunSnapshot
 }
 
@@ -274,21 +236,15 @@ type Ctx struct {
 	// Ctx.Commit of this node (written by the node's goroutine, read by
 	// the round leader at the barrier — ordered by the pending-counter
 	// RMW chain, like all other node state the leader touches).
-	// commitDone marks a CommitFinal; resumeBlob is the blob handed back
-	// through Resumed on a restored run.
+	// commitDone marks a CommitFinal.
 	commitBlob  []byte
 	commitRound int
 	commitValid bool
 	commitDone  bool
-	resumeBlob  []byte
 }
 
 // ID returns this node's identifier.
 func (c *Ctx) ID() int { return c.id }
-
-// N returns the number of nodes in the network (nodes know n, as is
-// standard in the simulated models).
-func (c *Ctx) N() int { return c.r.n }
 
 // Degree returns this node's degree (peer count).
 func (c *Ctx) Degree() int { return len(c.nbr) }
@@ -560,7 +516,7 @@ type roundTask struct {
 	done chan struct{}   // closed when every shard finished delivering
 }
 
-// shared is the cross-domain state of one Run: the abort flag and the
+// shared is the cross-domain state of one run: the abort flag and the
 // first error are common to every lockstep domain, so a violation
 // anywhere unwinds the whole run.
 type shared struct {
@@ -587,10 +543,10 @@ func (sh *shared) fail(err error) {
 // barrier because a node's round count is just its own barrier count.
 // Splitting the barrier keeps each component's goroutine set scheduled
 // in bursts (cache-resident) and lets components progress independently
-// on multicore hosts. The Topology is consumed during setup in Run;
-// afterwards everything the engine needs lives in the Ctxs.
+// on multicore hosts. The Topology is consumed during setup in
+// RunWithDomains; afterwards everything the engine needs lives in the
+// Ctxs.
 type runner struct {
-	n     int     // total endpoint count of the run (Ctx.N())
 	nodes []int32 // this domain's endpoints, ascending
 	sh    *shared
 	cfg   Config
@@ -1131,17 +1087,11 @@ type DomainStats struct {
 	Stats Stats
 }
 
-// Run executes program on every endpoint of top until all node programs
-// return. It returns the measured statistics, or an error if any node
-// violated the model, panicked, or the round cap was hit.
-func Run(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, error) {
-	st, _, err := RunWithDomains(top, cfg, program)
-	return st, err
-}
-
-// RunWithDomains is Run, additionally reporting the per-domain
-// statistics (one entry per connected component, ordered by smallest
-// member). Callers that simulate each distinct component once and
+// RunWithDomains executes program on every endpoint of top until all
+// node programs return. It returns the measured statistics and the
+// per-domain statistics (one entry per connected component, ordered by
+// smallest member), or an error if any node violated the model,
+// panicked, or the round cap was hit. Callers that simulate each distinct component once and
 // replicate the result — the components of a run are independent and
 // the simulation deterministic — use the per-domain breakdown to scale
 // traffic exactly.
@@ -1240,7 +1190,6 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 				live = liveNodes(cut)
 			}
 			r := &runner{
-				n:      n,
 				nodes:  comp,
 				sh:     sh,
 				cfg:    cfg,

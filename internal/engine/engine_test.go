@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smallbandwidth/internal/engine"
+	"smallbandwidth/internal/graph"
 )
 
 // TestPoolForEachPartitions checks that a forced multi-shard pool covers
@@ -87,11 +88,11 @@ func TestScatterMatchesSequentialAcrossShards(t *testing.T) {
 	}
 }
 
-// TestRunnerOnAllToAll runs blocking node programs on the complete
-// topology — the engine's runner is topology-generic, not CONGEST-bound.
-func TestRunnerOnAllToAll(t *testing.T) {
+// TestRunnerOnCompleteGraph runs blocking node programs on the complete
+// graph, where every node exchanges with every other each round.
+func TestRunnerOnCompleteGraph(t *testing.T) {
 	const n, rounds = 48, 5
-	st, err := engine.Run(engine.NewAllToAll(n), engine.Config{Model: "clique"}, func(ctx *engine.Ctx) {
+	st, err := engine.Run(graph.Complete(n), engine.Config{Model: "clique"}, func(ctx *engine.Ctx) {
 		if ctx.Degree() != n-1 {
 			t.Errorf("node %d degree %d, want %d", ctx.ID(), ctx.Degree(), n-1)
 		}
@@ -121,7 +122,7 @@ func TestRunnerOnAllToAll(t *testing.T) {
 // cap) as model violations.
 func TestChargeTraffic(t *testing.T) {
 	const n = 4
-	st, err := engine.Run(engine.NewAllToAll(n), engine.Config{Model: "congest"}, func(ctx *engine.Ctx) {
+	st, err := engine.Run(graph.Complete(n), engine.Config{Model: "congest"}, func(ctx *engine.Ctx) {
 		ctx.ChargeTraffic(10, 40, 4)
 		ctx.ChargeTraffic(0, 0, 99) // zero charge: width not even validated
 		ctx.Next()
@@ -136,12 +137,12 @@ func TestChargeTraffic(t *testing.T) {
 		t.Fatalf("charged width not folded: %+v", st)
 	}
 
-	if _, err := engine.Run(engine.NewAllToAll(2), engine.Config{Model: "congest"}, func(ctx *engine.Ctx) {
+	if _, err := engine.Run(graph.Complete(2), engine.Config{Model: "congest"}, func(ctx *engine.Ctx) {
 		ctx.ChargeTraffic(-1, 0, 1)
 	}); err == nil {
 		t.Fatal("negative charge accepted")
 	}
-	if _, err := engine.Run(engine.NewAllToAll(2), engine.Config{Model: "congest", MaxWords: 4}, func(ctx *engine.Ctx) {
+	if _, err := engine.Run(graph.Complete(2), engine.Config{Model: "congest", MaxWords: 4}, func(ctx *engine.Ctx) {
 		ctx.ChargeTraffic(1, 5, 5)
 	}); err == nil {
 		t.Fatal("charge wider than the bandwidth cap accepted")
@@ -151,7 +152,7 @@ func TestChargeTraffic(t *testing.T) {
 // TestRunnerModelPrefix checks that violations report in the configured
 // model's vocabulary.
 func TestRunnerModelPrefix(t *testing.T) {
-	_, err := engine.Run(engine.NewAllToAll(3), engine.Config{Model: "clique", MaxWords: 1}, func(ctx *engine.Ctx) {
+	_, err := engine.Run(graph.Complete(3), engine.Config{Model: "clique", MaxWords: 1}, func(ctx *engine.Ctx) {
 		ctx.Send(int(ctx.Neighbors()[0]), engine.Message{1, 2, 3})
 		ctx.Next()
 	})

@@ -131,9 +131,6 @@ func NewPoolSized(n, minPerShard, workers int) *Pool {
 	return p
 }
 
-// N returns the endpoint count.
-func (p *Pool) N() int { return p.n }
-
 // Shards returns the number of shard workers.
 func (p *Pool) Shards() int { return p.nshards }
 

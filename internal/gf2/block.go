@@ -42,9 +42,6 @@ func (s *FormSheet) Reset() {
 	*s = FormSheet{}
 }
 
-// Lanes returns the number of lanes in use.
-func (s *FormSheet) Lanes() int { return s.n }
-
 // Free returns the number of unused lanes.
 func (s *FormSheet) Free() int { return 64 - s.n }
 

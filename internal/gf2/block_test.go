@@ -196,7 +196,7 @@ func TestFormSheetBlockMatchesScalar(t *testing.T) {
 				}
 			}
 			sb.Release()
-			rj := src.Bool()
+			rj := src.Uint64()&1 == 1
 			if !bs.FixBit(j, rj) {
 				t.Fatalf("trial %d: FixBit(%d) refused", trial, j)
 			}

@@ -73,18 +73,6 @@ func ProbOneAndBothOne(bs *Basis, c1, c2 Coin) (p1, p11 float64) {
 	return ProbBothLessMarginal(bs, c1.forms, c1.t, c2.forms, c2.t)
 }
 
-// ProbBothZero returns Pr[C1 = 0 ∧ C2 = 0 | basis event] exactly via
-// inclusion–exclusion.
-func ProbBothZero(bs *Basis, c1, c2 Coin) float64 {
-	p := 1 - c1.ProbOne(bs) - c2.ProbOne(bs) + ProbBothOne(bs, c1, c2)
-	// Clamp float noise at the boundaries; terms are dyadic so p is exact
-	// whenever the ranks involved stay below float64's 53-bit mantissa.
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
 // CoinEvent is one conjunct of a ProbConj query: the coin shows Want.
 type CoinEvent struct {
 	Coin Coin

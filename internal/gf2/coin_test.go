@@ -92,9 +92,6 @@ func TestAdjacentCoinsIndependent(t *testing.T) {
 	if eng := ProbBothOne(NewBasis(), c1, c2); math.Abs(eng-gotJoint) > 1e-12 {
 		t.Fatalf("engine joint %v vs census %v", eng, gotJoint)
 	}
-	if eng := ProbBothZero(NewBasis(), c1, c2); math.Abs(eng-(1-float64(n1)/total-float64(n2)/total+gotJoint)) > 1e-12 {
-		t.Fatalf("engine ProbBothZero mismatch")
-	}
 }
 
 // TestCoinConditionalVsBrute: marginals and joints conditioned on partial
@@ -122,7 +119,7 @@ func TestCoinConditionalVsBrute(t *testing.T) {
 		var fixedMask, fixedVal uint64
 		for i := 0; i < d; i++ {
 			if src.Intn(4) == 0 {
-				v := src.Bool()
+				v := src.Uint64()&1 == 1
 				fixedMask |= 1 << i
 				if v {
 					fixedVal |= 1 << i

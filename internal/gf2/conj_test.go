@@ -67,13 +67,13 @@ func TestProbConjVsBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			events[i] = CoinEvent{Coin: coin, Want: src.Bool()}
+			events[i] = CoinEvent{Coin: coin, Want: src.Uint64()&1 == 1}
 		}
 		bs := NewBasis()
 		var fixedMask, fixedVal uint64
 		for i := 0; i < d; i++ {
 			if src.Intn(4) == 0 {
-				v := src.Bool()
+				v := src.Uint64()&1 == 1
 				fixedMask |= 1 << i
 				if v {
 					fixedVal |= 1 << i
@@ -118,8 +118,8 @@ func TestProbConjReducesToPairQueries(t *testing.T) {
 		t.Error("ProbConj(1,1) disagrees with ProbBothOne")
 	}
 	zz := ProbConj(bs, []CoinEvent{{c1, false}, {c2, false}})
-	if math.Abs(zz-ProbBothZero(bs, c1, c2)) > 1e-12 {
-		t.Error("ProbConj(0,0) disagrees with ProbBothZero")
+	if math.Abs(zz-(1-c1.ProbOne(bs)-c2.ProbOne(bs)+ProbBothOne(bs, c1, c2))) > 1e-12 {
+		t.Error("ProbConj(0,0) disagrees with 1 − P1 − P2 + P11")
 	}
 	one := ProbConj(bs, []CoinEvent{{c1, true}})
 	if math.Abs(one-c1.ProbOne(bs)) > 1e-12 {

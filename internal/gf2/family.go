@@ -53,9 +53,6 @@ func MustFamily(m, k int) *Family {
 // Field returns the underlying field.
 func (fam *Family) Field() *Field { return fam.f }
 
-// K returns the independence parameter.
-func (fam *Family) K() int { return fam.k }
-
 // SeedBits returns the seed length d = k·m in bits.
 func (fam *Family) SeedBits() int { return fam.k * fam.f.m }
 

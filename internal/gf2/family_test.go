@@ -29,8 +29,8 @@ func TestFamilyParams(t *testing.T) {
 	if fam.SeedBits() != 16 {
 		t.Errorf("SeedBits = %d, want 16", fam.SeedBits())
 	}
-	if fam.K() != 2 {
-		t.Errorf("K = %d, want 2", fam.K())
+	if fam.k != 2 {
+		t.Errorf("k = %d, want 2", fam.k)
 	}
 }
 

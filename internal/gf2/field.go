@@ -101,16 +101,6 @@ func MustField(m int) *Field {
 // M returns the field degree m.
 func (f *Field) M() int { return f.m }
 
-// Order returns 2^m, the number of field elements.
-func (f *Field) Order() uint64 { return f.max + 1 }
-
-// ReductionPoly returns the low-order bits of the reduction polynomial
-// (the full polynomial is x^m + ReductionPoly()).
-func (f *Field) ReductionPoly() uint64 { return f.g }
-
-// Add returns a + b = a XOR b.
-func (f *Field) Add(a, b uint64) uint64 { return a ^ b }
-
 // clmul returns the 128-bit carry-less product of a and b as (hi, lo),
 // using a 4-bit window on b: a per-call table of the 16 carry-less
 // multiples a·{0..15} turns the data-dependent popcount(b)-step loop of
@@ -216,31 +206,6 @@ func (f *Field) MulByX(a uint64) uint64 {
 		a ^= f.g
 	}
 	return a
-}
-
-// Square returns a ⊗ a.
-func (f *Field) Square(a uint64) uint64 { return f.Mul(a, a) }
-
-// Pow returns a^e in the field (a^0 = 1).
-func (f *Field) Pow(a uint64, e uint64) uint64 {
-	result := uint64(1)
-	base := a & f.max
-	for e > 0 {
-		if e&1 == 1 {
-			result = f.Mul(result, base)
-		}
-		base = f.Square(base)
-		e >>= 1
-	}
-	return result
-}
-
-// Inv returns the multiplicative inverse of a ≠ 0 via a^(2^m − 2).
-func (f *Field) Inv(a uint64) (uint64, error) {
-	if a&f.max == 0 {
-		return 0, fmt.Errorf("gf2: inverse of zero")
-	}
-	return f.Pow(a, f.max-1), nil
 }
 
 // --- irreducibility search -------------------------------------------------

@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,8 +74,8 @@ func TestFieldCached(t *testing.T) {
 func TestReductionPolyIrreducible(t *testing.T) {
 	for m := 1; m <= 20; m++ {
 		f := MustField(m)
-		if m > 1 && !isIrreducible(f.ReductionPoly(), m) {
-			t.Errorf("m=%d: reduction poly %#x not irreducible", m, f.ReductionPoly())
+		if m > 1 && !isIrreducible(f.g, m) {
+			t.Errorf("m=%d: reduction poly %#x not irreducible", m, f.g)
 		}
 	}
 }
@@ -98,8 +99,8 @@ func TestKnownIrreducibles(t *testing.T) {
 func TestMulSmallFieldTables(t *testing.T) {
 	// GF(4) with x^2+x+1: elements 0,1,x=2,x+1=3.
 	f := MustField(2)
-	if f.ReductionPoly() != 0b11 {
-		t.Fatalf("GF(4) reduction poly = %#b, want 11", f.ReductionPoly())
+	if f.g != 0b11 {
+		t.Fatalf("GF(4) reduction poly = %#b, want 11", f.g)
 	}
 	cases := []struct{ a, b, want uint64 }{
 		{0, 0, 0}, {0, 3, 0}, {1, 2, 2}, {1, 3, 3},
@@ -143,6 +144,31 @@ func TestFieldAxiomsQuick(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Order returns 2^m, the number of field elements.
+func (f *Field) Order() uint64 { return f.max + 1 }
+
+// Pow returns a^e in the field (a^0 = 1).
+func (f *Field) Pow(a uint64, e uint64) uint64 {
+	result := uint64(1)
+	base := a & f.max
+	for e > 0 {
+		if e&1 == 1 {
+			result = f.Mul(result, base)
+		}
+		base = f.Mul(base, base)
+		e >>= 1
+	}
+	return result
+}
+
+// Inv returns the multiplicative inverse of a ≠ 0 via a^(2^m − 2).
+func (f *Field) Inv(a uint64) (uint64, error) {
+	if a&f.max == 0 {
+		return 0, fmt.Errorf("gf2: inverse of zero")
+	}
+	return f.Pow(a, f.max-1), nil
 }
 
 func TestFieldInverse(t *testing.T) {

@@ -8,54 +8,6 @@ import "testing"
 // shares no code with the fast path) for every supported field degree.
 // The two inputs cover the full uint64 range; operands are masked to
 // the field inside the loop so every m sees the same raw material.
-// FuzzVecEval differentially checks the bit-sliced block kernels against
-// the scalar oracle: a Form built from the raw fuzz words is evaluated by
-// EvalBlock over a 64-lane SeedBlock derived from the same material, and
-// a Coin over genuine hash-family forms compares ValueBlock lane by lane
-// against Coin.Value. The scalar path shares no code with the plane-XOR
-// slicing, so any transpose, parity, or threshold-recurrence bug shows up
-// as a lane mismatch.
-func FuzzVecEval(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
-	f.Add(^uint64(0), ^uint64(0), uint64(1), uint64(2))
-	f.Add(uint64(0x8000000000000001), uint64(1), uint64(5), uint64(9))
-	f.Add(uint64(0xdeadbeef), uint64(0xfeedface), uint64(63), uint64(64))
-	f.Fuzz(func(t *testing.T, maskLo, maskHi, num, seedWord uint64) {
-		seeds := make([]Vec128, 64)
-		s := seedWord
-		next := func() uint64 { // splitmix64: cheap deterministic stream from the fuzz word
-			s += 0x9e3779b97f4a7c15
-			z := s
-			z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-			z = (z ^ z>>27) * 0x94d049bb133111eb
-			return z ^ z>>31
-		}
-		for k := range seeds {
-			seeds[k] = Vec128{Lo: next(), Hi: next()}
-		}
-		sb := NewSeedBlock(seeds)
-		fo := Form{Mask: Vec128{Lo: maskLo, Hi: maskHi}, Const: num&1 == 1}
-		got := fo.EvalBlock(sb)
-		for k, sd := range seeds {
-			if want := fo.Eval(sd); want != (got>>k&1 == 1) {
-				t.Fatalf("form lane %d: EvalBlock %v, scalar %v", k, got>>k&1 == 1, want)
-			}
-		}
-		fam := MustFamily(13, 2)
-		den := num%97 + 1
-		coin, err := NewCoin(fam, maskLo, 10, num%(den+1), den)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cgot := coin.ValueBlock(sb)
-		for k, sd := range seeds {
-			if want := coin.Value(sd); want != (cgot>>k&1 == 1) {
-				t.Fatalf("coin lane %d: ValueBlock %v, scalar %v", k, cgot>>k&1 == 1, want)
-			}
-		}
-	})
-}
-
 func FuzzGF2Mul(f *testing.F) {
 	f.Add(uint64(0), uint64(0))
 	f.Add(uint64(1), ^uint64(0))
@@ -67,7 +19,7 @@ func FuzzGF2Mul(f *testing.F) {
 			fl := MustField(m)
 			am, bm := a&fl.max, b&fl.max
 			got := fl.Mul(am, bm)
-			want := polyMulMod(am, bm, fl.ReductionPoly(), m)
+			want := polyMulMod(am, bm, fl.g, m)
 			if got != want {
 				t.Fatalf("m=%d: Mul(%#x,%#x) = %#x, polyMulMod reference = %#x", m, am, bm, got, want)
 			}

@@ -98,9 +98,9 @@ func TestBasisMixedRepresentation(t *testing.T) {
 			if src.Intn(2) == 0 {
 				fo = Form{Mask: UnitVec(src.Intn(d))}
 			} else {
-				fo = Form{Mask: VecFromUint64(src.Uint64() & (uint64(1)<<d - 1)), Const: src.Bool()}
+				fo = Form{Mask: VecFromUint64(src.Uint64() & (uint64(1)<<d - 1)), Const: src.Uint64()&1 == 1}
 			}
-			val := src.Bool()
+			val := src.Uint64()&1 == 1
 			want := ref.add(fo, val)
 			got := bs.Add(fo, val)
 			if want == Inconsistent {
@@ -222,7 +222,7 @@ func TestSplitMatchesFixedBit(t *testing.T) {
 		bs := NewBasis()
 		for i := 0; i < d; i++ {
 			if src.Intn(3) == 0 {
-				bs.FixBit(i, src.Bool())
+				bs.FixBit(i, src.Uint64()&1 == 1)
 			}
 		}
 		var free []int
@@ -311,7 +311,7 @@ func TestProbOneAndBothOneMatchesSeparate(t *testing.T) {
 		bs := NewBasis()
 		for i := 0; i < d; i++ {
 			if src.Intn(3) == 0 {
-				bs.FixBit(i, src.Bool())
+				bs.FixBit(i, src.Uint64()&1 == 1)
 			}
 		}
 		b := 1 + src.Intn(m)

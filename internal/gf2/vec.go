@@ -18,11 +18,6 @@ func (v Vec128) And(w Vec128) Vec128 { return Vec128{v.Lo & w.Lo, v.Hi & w.Hi} }
 // AndNot returns v with every bit of w cleared.
 func (v Vec128) AndNot(w Vec128) Vec128 { return Vec128{v.Lo &^ w.Lo, v.Hi &^ w.Hi} }
 
-// OnesCount returns the number of set bits.
-func (v Vec128) OnesCount() int {
-	return bits.OnesCount64(v.Lo) + bits.OnesCount64(v.Hi)
-}
-
 // IsUnit reports whether exactly one bit is set.
 func (v Vec128) IsUnit() bool {
 	return (v.Lo == 0) != (v.Hi == 0) && v.Lo&(v.Lo-1) == 0 && v.Hi&(v.Hi-1) == 0
@@ -127,10 +122,4 @@ type Form struct {
 // Eval evaluates the form on a full seed assignment.
 func (fo Form) Eval(seed Vec128) bool {
 	return fo.Mask.And(seed).Parity() != fo.Const
-}
-
-// XorConst returns the form with its constant flipped if b is true.
-func (fo Form) XorConst(b bool) Form {
-	fo.Const = fo.Const != b
-	return fo
 }

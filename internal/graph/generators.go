@@ -60,19 +60,6 @@ func Star(n int) *Graph {
 	return b.Build()
 }
 
-// CompleteBipartite returns K_{a,b}: nodes 0..a-1 on one side,
-// a..a+b-1 on the other.
-func CompleteBipartite(a, b int) *Graph {
-	bld := NewBuilder(a + b)
-	bld.Grow(a * b)
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			bld.add(u, v)
-		}
-	}
-	return bld.Build()
-}
-
 // BinaryTree returns the complete-ish binary tree on n nodes with root 0
 // (node i has children 2i+1 and 2i+2 when in range).
 func BinaryTree(n int) *Graph {
@@ -137,25 +124,6 @@ func Hypercube(dim int) *Graph {
 			w := v ^ (1 << bit)
 			if w > v {
 				b.add(v, w)
-			}
-		}
-	}
-	return b.Build()
-}
-
-// Circulant returns the circulant graph C_n(offsets): node i is adjacent
-// to i±o (mod n) for each offset o. Duplicate edges (e.g. o = n/2 twice)
-// are skipped. Circulants with spread offsets make decent expanders.
-func Circulant(n int, offsets []int) *Graph {
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for _, o := range offsets {
-			j := (i + o) % n
-			if j < 0 {
-				j += n
-			}
-			if i != j && !b.HasEdge(i, j) {
-				b.MustAddEdge(i, j)
 			}
 		}
 	}

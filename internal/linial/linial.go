@@ -42,14 +42,6 @@ func Schedule(k uint64, maxDeg int) []Step {
 	panic("linial: schedule did not converge")
 }
 
-// FinalK returns the color-space size after the full schedule.
-func FinalK(k uint64, maxDeg int) uint64 {
-	for _, st := range Schedule(k, maxDeg) {
-		k = st.NewK
-	}
-	return k
-}
-
 // stepFor picks the smallest prime q (with its degree t) usable for one
 // reduction from k colors at maximum degree maxDeg.
 func stepFor(k uint64, maxDeg int) (Step, bool) {

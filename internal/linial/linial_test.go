@@ -62,10 +62,9 @@ func TestScheduleShrinks(t *testing.T) {
 			t.Errorf("k=%d Δ=%d: schedule too long (%d steps), log* should be tiny", c.k, c.maxDeg, len(steps))
 		}
 		// Final color space should be O(Δ² polylog Δ): generous cap 64·Δ²+64.
-		final := FinalK(c.k, c.maxDeg)
 		cap := uint64(64*c.maxDeg*c.maxDeg + 64)
-		if final > cap {
-			t.Errorf("k=%d Δ=%d: final K = %d exceeds %d", c.k, c.maxDeg, final, cap)
+		if k > cap {
+			t.Errorf("k=%d Δ=%d: final K = %d exceeds %d", c.k, c.maxDeg, k, cap)
 		}
 	}
 }

@@ -54,6 +54,3 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Position resolves a diagnostic position against the pass's FileSet.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }

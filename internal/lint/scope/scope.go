@@ -13,7 +13,6 @@ var Deterministic = map[string]bool{
 	"smallbandwidth/internal/netdecomp": true,
 	"smallbandwidth/internal/gf2":       true,
 	"smallbandwidth/internal/linial":    true,
-	"smallbandwidth/internal/mis":       true,
 	"smallbandwidth/internal/clique":    true,
 	"smallbandwidth/internal/mpc":       true,
 	"smallbandwidth/internal/graph":     true,

@@ -428,3 +428,22 @@ func TestGroupSizesSpanningManyMachines(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the total number of records.
+func (d *Dist) Len() int {
+	n := 0
+	for _, p := range d.Parts {
+		n += len(p)
+	}
+	return n
+}
+
+// All returns all records in machine order (a real MPC algorithm would
+// never gather like this).
+func (d *Dist) All() []Rec {
+	var out []Rec
+	for _, p := range d.Parts {
+		out = append(out, p...)
+	}
+	return out
+}

@@ -69,25 +69,6 @@ func (d *Dist) loads() []int {
 	return l
 }
 
-// Len returns the total number of records.
-func (d *Dist) Len() int {
-	n := 0
-	for _, p := range d.Parts {
-		n += len(p)
-	}
-	return n
-}
-
-// All returns all records in machine order (test/inspection helper; a
-// real MPC algorithm would never gather like this).
-func (d *Dist) All() []Rec {
-	var out []Rec
-	for _, p := range d.Parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // Sort sorts the distributed records lexicographically (Definition 5.1)
 // with deterministic regular sampling (PSRS), the constant-round
 // BSP/MapReduce sorting of [GSZ11, Goo99]: local sort, M−1 regular

@@ -50,24 +50,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns a pseudo-random boolean.
-func (s *Source) Bool() bool {
-	return s.Uint64()&1 == 1
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomly permutes the first n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -2,7 +2,6 @@ package prng
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterministic(t *testing.T) {
@@ -53,27 +52,6 @@ func TestFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64() = %v out of [0,1)", f)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw)%50 + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
 	}
 }
 
