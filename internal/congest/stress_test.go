@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,30 +114,42 @@ func TestConvergeSumManyOpsStress(t *testing.T) {
 	}
 }
 
-// waveSum is an event-driven aggregation over tr: a node sleeps in
-// NextDelivery until its children's partial sums arrive, sends its own
+// waveSum is an event-driven aggregation of vec over tr: a node sleeps
+// in NextDelivery until its children's partial sums arrive, sends its own
 // to its parent, sleeps again until the total comes down, and forwards
 // it. Nodes enter and leave each wave in different rounds.
-func waveSum(ctx *Ctx, tr *Tree, op uint64, x float64) float64 {
+func waveSum(ctx *Ctx, tr *Tree, op uint64, vec []float64) []float64 {
+	x := slices.Clone(vec)
 	for got := 0; got < len(tr.Children); {
 		for _, in := range ctx.NextDelivery() {
 			if in.Payload[0] != tagUp || in.Payload[1] != op {
 				panic(fmt.Sprintf("node %d: (tag %d, op %d) in the up wave of op %d", ctx.ID(), in.Payload[0], in.Payload[1], op))
 			}
-			x += math.Float64frombits(in.Payload[2])
+			for i, w := range in.Payload[2:] {
+				x[i] += math.Float64frombits(w)
+			}
 			got++
 		}
 	}
+	msg := func(tag uint64) Message {
+		m := Message{tag, op}
+		for _, f := range x {
+			m = append(m, math.Float64bits(f))
+		}
+		return m
+	}
 	if tr.Parent != -1 {
-		ctx.Send(tr.Parent, Message{tagUp, op, math.Float64bits(x)})
+		ctx.Send(tr.Parent, msg(tagUp))
 		down := ctx.NextDelivery()
 		if len(down) != 1 || down[0].Payload[0] != tagDown || down[0].Payload[1] != op {
 			panic(fmt.Sprintf("node %d: expected the total of op %d, got %d message(s)", ctx.ID(), op, len(down)))
 		}
-		x = math.Float64frombits(down[0].Payload[2])
+		for i, w := range down[0].Payload[2:] {
+			x[i] = math.Float64frombits(w)
+		}
 	}
 	for _, ch := range tr.Children {
-		ctx.Send(ch, Message{tagDown, op, math.Float64bits(x)})
+		ctx.Send(ch, msg(tagDown))
 	}
 	return x
 }
@@ -151,7 +164,7 @@ func TestNextDeliveryWavesStress(t *testing.T) {
 	_, err := Run(g, Config{}, func(ctx *Ctx) {
 		tr := BuildBFSTree(ctx, 0)
 		for op := uint64(0); op < 25; op++ {
-			if waveSum(ctx, tr, op, float64(ctx.ID())*float64(op+1)) != float64(g.N()*(g.N()-1))/2*float64(op+1) {
+			if waveSum(ctx, tr, op, []float64{float64(ctx.ID()) * float64(op+1)})[0] != float64(g.N()*(g.N()-1))/2*float64(op+1) {
 				mu.Lock()
 				bad++
 				mu.Unlock()

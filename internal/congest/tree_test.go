@@ -166,6 +166,52 @@ func TestConvergeSumAllNodes(t *testing.T) {
 	}
 }
 
+// TestConvergeSumLockstepMatchesGeneric: the skip-scheduled aggregation
+// must return the same sums at every node and consume identical Stats as
+// the message-driven waveSum on the same tree, once both resynchronize to
+// the same round.
+func TestConvergeSumLockstepMatchesGeneric(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.Path(12), graph.Grid2D(4, 5), graph.Star(9), graph.BinaryTree(15), graph.Path(1),
+	} {
+		n := g.N()
+		run := func(lockstep bool) ([][]float64, Stats) {
+			t.Helper()
+			results := make([][]float64, n)
+			var mu sync.Mutex
+			st, err := Run(g, Config{}, func(ctx *Ctx) {
+				tr := BuildBFSTree(ctx, 0)
+				vec := []float64{float64(ctx.ID()), 1.0}
+				until := ctx.Round() + 2*tr.Height + 3
+				var sum []float64
+				if lockstep {
+					sum = slices.Clone(ConvergeSumLockstepTo(ctx, tr, 1, vec, until))
+				} else {
+					sum = waveSum(ctx, tr, 1, vec)
+					SpinUntil(ctx, until)
+				}
+				mu.Lock()
+				results[ctx.ID()] = sum
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return results, *st
+		}
+		generic, gStats := run(false)
+		lockstep, lStats := run(true)
+		if gStats != lStats {
+			t.Errorf("n=%d: lockstep stats %+v differ from generic %+v", n, lStats, gStats)
+		}
+		for v := range generic {
+			if !slices.Equal(lockstep[v], generic[v]) {
+				t.Errorf("n=%d node %d: lockstep sum %v, generic %v", n, v, lockstep[v], generic[v])
+			}
+		}
+	}
+}
+
 func TestSequentialOps(t *testing.T) {
 	// Several converges back to back must not interfere: each call
 	// reuses the Tree's buffers of the one before.
