@@ -439,59 +439,41 @@ func BenchmarkEdgeExpectation(b *testing.B) {
 
 // BenchmarkDenseNodeBlock measures one congest-dense node's sheet work
 // per seed bit, the way the phase hub runs it: the RandomRegular(2000,
-// 16) input with lists deg+3 derives B = 10 of M = 11, so a node that
-// owns 8 conflict edges lays its coin and theirs out on two sheets
-// (the owner plus 5 neighbors, then the owner plus 3), with thresholds
-// k1·2^10/19. Each iteration is one seed bit: the neighbors' batched
-// marginals, one owner walk, its replay for the 8 edges, and the plane
-// folds; iterations cycle through all 22 bits, re-laying the sheets
-// after the last. ns/edge is the time per owned edge per seed bit.
+// 16) input with lists deg+3 derives B = 10 of M = 11, so the hub's
+// lane table holds 6 coins to a sheet. A node that owns 8 conflict
+// edges and its 8 neighbors take 9 consecutive slots, each laid out
+// once: the owner and 5 neighbors on one sheet, 3 neighbors on the
+// next, with thresholds k1·2^10/19. Each iteration is one seed bit: the
+// neighbors' marginals, one owner walk, its replay for the 8 edges, and
+// the plane folds; iterations cycle through all 22 bits, restarting
+// from the sealed layout after the last. ns/edge is the time per owned
+// edge per seed bit.
 func BenchmarkDenseNodeBlock(b *testing.B) {
 	fam := gf2.MustFamily(11, 2)
-	const acc, lists = 10, 19
-	nbrX := [8]uint64{19, 23, 31, 41, 57, 73, 101, 137}
-	nbrK1 := [8]uint64{7, 10, 8, 11, 6, 12, 9, 5}
-	myForms := fam.OutputForms(7, acc)
-	myCoin, err := gf2.NewCoinFromForms(myForms, 9, lists)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var nbrForms [8][]gf2.Form
-	var cvs [8]gf2.BlockCoin
-	for k, x := range nbrX {
-		nbrForms[k] = fam.OutputForms(x, acc)
-		c, err := gf2.NewCoinFromForms(nbrForms[k], nbrK1[k], lists)
+	const acc, lists, per = 10, 19, 64 / 10
+	// Slot 0 is the owner, slots 1..8 its neighbors.
+	xs := [9]uint64{7, 19, 23, 31, 41, 57, 73, 101, 137}
+	k1s := [9]uint64{9, 7, 10, 8, 11, 6, 12, 9, 5}
+	var base [2]gf2.FormSheet
+	var at [9]gf2.BlockCoin
+	for s, x := range xs {
+		forms := fam.OutputForms(x, acc)
+		c, err := gf2.NewCoinFromForms(forms, k1s[s], lists)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cvs[k] = gf2.BlockCoin{B: c.Bits(), T: c.Threshold()}
+		lane, ok := base[s/per].AddForms(forms)
+		if !ok {
+			b.Fatal("AddForms refused")
+		}
+		at[s] = gf2.BlockCoin{Lane: lane, B: c.Bits(), T: c.Threshold()}
 	}
-	var sheets [2]gf2.FormSheet
-	sheetOf := [8]int{0, 0, 0, 0, 0, 1, 1, 1}
-	var cu gf2.BlockCoin
-	lay := func() {
-		for s := range sheets {
-			sheets[s].Reset()
-			lane, ok := sheets[s].AddForms(myForms)
-			if !ok {
-				b.Fatal("AddForms refused")
-			}
-			cu = gf2.BlockCoin{Lane: lane, B: myCoin.Bits(), T: myCoin.Threshold()}
-		}
-		for k := range cvs {
-			lane, ok := sheets[sheetOf[k]].AddForms(nbrForms[k])
-			if !ok {
-				b.Fatal("AddForms refused")
-			}
-			cvs[k].Lane = lane
-		}
-		for s := range sheets {
-			sheets[s].Seal()
-		}
+	for k := range base {
+		base[k].Seal()
 	}
-	lay()
+	sheets := base
 	basis := gf2.NewBasis()
-	var pv [8]gf2.ProbPair
+	var pv [9]gf2.ProbPair
 	d := fam.SeedBits()
 	j := 0
 	b.ReportAllocs()
@@ -501,11 +483,11 @@ func BenchmarkDenseNodeBlock(b *testing.B) {
 		if !ok {
 			b.Fatal("split refused")
 		}
-		sb.ProbOnePairBlock(&sheets[0], cvs[:5], pv[:5])
-		sb.ProbOnePairBlock(&sheets[1], cvs[5:], pv[5:])
-		ow := sb.WalkOwner(&sheets[0], cu)
-		for k := range cvs {
-			p11 := ow.Joint(&sheets[sheetOf[k]], cvs[k], pv[k])
+		sb.ProbOnePairBlock(&sheets[0], at[1:per], pv[1:per])
+		sb.ProbOnePairBlock(&sheets[1], at[per:], pv[per:])
+		ow := sb.WalkOwner(&sheets[0], at[0])
+		for s := 1; s < len(at); s++ {
+			p11 := ow.Joint(&sheets[s/per], at[s], pv[s])
 			sink += p11.P0 + p11.P1
 		}
 		sb.Release()
@@ -516,10 +498,10 @@ func BenchmarkDenseNodeBlock(b *testing.B) {
 		if j++; j == d {
 			j = 0
 			basis.Reset()
-			lay()
+			sheets = base
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cvs)), "ns/edge")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(at)-1), "ns/edge")
 	sinkFloat64 = sink
 }
 

@@ -312,10 +312,3 @@ func fail(err error) {
 		log.Fatal(err)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -10,6 +10,7 @@ package baseline
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"smallbandwidth/internal/congest"
@@ -44,7 +45,7 @@ func RandomizedCONGEST(inst *graph.Instance, seed uint64) (*RandResult, error) {
 	n := inst.G.N()
 	colors := make([]uint32, n)
 	var mu sync.Mutex
-	maxRounds := 64 * (bitsLen(n) + 4)
+	maxRounds := 64 * (bits.Len(uint(n)) + 4)
 
 	stats, err := congest.Run(inst.G, congest.Config{}, func(ctx *congest.Ctx) {
 		src := prng.New(seed ^ (uint64(ctx.ID())+1)*0x9e3779b97f4a7c15)
@@ -76,7 +77,7 @@ func RandomizedCONGEST(inst *graph.Instance, seed uint64) (*RandResult, error) {
 					}
 				case tagFinal:
 					aliveNbr[ctx.NeighborIndex(in.From)] = false
-					list = removeColor(list, uint32(in.Payload[1]))
+					list = graph.RemoveColor(list, uint32(in.Payload[1]))
 					// A neighbor finalized this color one round ago; our
 					// tentative pick loses (it no longer defends its color
 					// with tagTry messages).
@@ -141,7 +142,7 @@ func RandomSeedPrefix(inst *graph.Instance, seed uint64) (int, error) {
 	for v := range lists {
 		lists[v] = append([]uint32(nil), inst.Lists[v]...)
 	}
-	for iter := 1; iter <= 64*(bitsLen(n)+4); iter++ {
+	for iter := 1; iter <= 64*(bits.Len(uint(n))+4); iter++ {
 		// Residual instance.
 		var residual []int
 		for v := 0; v < n; v++ {
@@ -191,7 +192,7 @@ func RandomSeedPrefix(inst *graph.Instance, seed uint64) (int, error) {
 			if !colored[v] {
 				for _, w := range inst.G.Neighbors(v) {
 					if colored[w] {
-						lists[v] = removeColor(lists[v], colors[w])
+						lists[v] = graph.RemoveColor(lists[v], colors[w])
 					}
 				}
 			}
@@ -201,28 +202,10 @@ func RandomSeedPrefix(inst *graph.Instance, seed uint64) (int, error) {
 	return 0, fmt.Errorf("baseline: random-seed process did not converge")
 }
 
-func removeColor(list []uint32, c uint32) []uint32 {
-	for i, x := range list {
-		if x == c {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
 func adjOf(g *graph.Graph) [][]int32 {
 	adj := make([][]int32, g.N())
 	for v := 0; v < g.N(); v++ {
 		adj[v] = g.Neighbors(v)
 	}
 	return adj
-}
-
-func bitsLen(n int) int {
-	l := 0
-	for n > 0 {
-		n >>= 1
-		l++
-	}
-	return l
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"smallbandwidth/internal/gf2"
 	"smallbandwidth/internal/graph"
@@ -284,7 +285,7 @@ func (st *cliqueRun) iteration(w, deltaCur int) error {
 		for _, m := range in[v] {
 			nd.aliveNbr = graph.SortedRemove(nd.aliveNbr, m.From)
 			if !nd.colored {
-				nd.list = removeColor(nd.list, uint32(m.Payload[0]))
+				nd.list = graph.RemoveColor(nd.list, uint32(m.Payload[0]))
 			}
 		}
 	}
@@ -598,7 +599,7 @@ func (st *cliqueRun) localFinish(inst *graph.Instance) error {
 	for v := range sub {
 		ids = append(ids, v)
 	}
-	sortInts(ids)
+	slices.Sort(ids)
 	for _, v := range ids {
 		taken := map[uint32]bool{}
 		for _, u := range sub[v].nbrs {
@@ -686,40 +687,9 @@ func filterByPath(cands []uint32, hi, w int, path uint64) []uint32 {
 	return out
 }
 
-func removeColor(list []uint32, c uint32) []uint32 {
-	for i, x := range list {
-		if x == c {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
 func boolW(b bool) uint64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

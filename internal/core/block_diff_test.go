@@ -47,13 +47,13 @@ func compareRuns(t *testing.T, name string, ref, got *Result) {
 	}
 }
 
-// TestPhaseBlockOwnedEdgeSweep sweeps the batched evaluation across the
-// owned-edge counts that straddle its block boundaries — 0 owned edges
-// (no sheets at all), 1, one lane shy of typical sheet capacity, at it,
-// and past it (63, 64, 65 force single- and multi-sheet layouts) — and
-// pins the default bulk path against the reference path (refEval) on
-// each. A star's center owns every edge (it carries the smallest ID),
-// so the star's leaf count is exactly the center's owned-edge count.
+// TestPhaseBlockOwnedEdgeSweep sweeps the batched evaluation across
+// owned-edge counts 0, 1, 63, 64 and 65 — at the last three the center
+// reads its neighbors' lanes from more than a dozen sheets of the lane
+// table — and pins the default bulk path against the reference path
+// (refEval) on each. A star's center owns every edge (it carries the
+// smallest ID), so the star's leaf count is exactly the center's
+// owned-edge count.
 func TestPhaseBlockOwnedEdgeSweep(t *testing.T) {
 	for _, leaves := range []int{0, 1, 63, 64, 65} {
 		g := graph.Star(leaves + 1)
@@ -221,23 +221,37 @@ func TestDeadSeedBitsHubMatchesReference(t *testing.T) {
 // read of its last live phase, as it does while the node sleeps through
 // whole iterations. Owned-edge counts fall with the slot index, as they
 // do when edges belong to their smaller endpoint, so an equal-slot cut
-// would be far off.
+// would be far off. With a lane table of per slots to a sheet, every
+// interior cut falls on a sheet boundary, and a band may shift by up to
+// per−1 slots at each end.
 func TestHubBandsBalanceWork(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		owned []int // owned edges per slot of a read node; −1 marks a dead slot, k < −1 a dead slot left holding −k owned edges
 		bands int
+		b     int // coin bits of a lane table; 0 for none
 	}{
-		{"falling", []int{14, 12, 11, 9, 8, 6, 5, 3, 2, 0, 0, 0}, 2},
-		{"falling4", []int{30, 25, 20, 16, 12, 9, 6, 4, 2, 1, 0, 0, 0, 0, 0, 0}, 4},
-		{"dead", []int{-1, 9, -1, 4, 4, -1, 0, 0}, 3},
-		{"allDead", []int{-1, -1, -1}, 2},
-		{"staleDead", []int{-20, 9, -7, 4, 4, -30, 0, 0}, 3},
-		{"moreBandsThanSlots", []int{3, 1, 0}, 5},
-		{"oneBand", []int{5, 4, 0}, 1},
+		{"falling", []int{14, 12, 11, 9, 8, 6, 5, 3, 2, 0, 0, 0}, 2, 0},
+		{"falling4", []int{30, 25, 20, 16, 12, 9, 6, 4, 2, 1, 0, 0, 0, 0, 0, 0}, 4, 0},
+		{"dead", []int{-1, 9, -1, 4, 4, -1, 0, 0}, 3, 0},
+		{"allDead", []int{-1, -1, -1}, 2, 0},
+		{"staleDead", []int{-20, 9, -7, 4, 4, -30, 0, 0}, 3, 0},
+		{"moreBandsThanSlots", []int{3, 1, 0}, 5, 0},
+		{"oneBand", []int{5, 4, 0}, 1, 0},
+		// B = 10 does not divide 64: 6 slots to a sheet, 4 lanes unused.
+		{"table", []int{14, 13, 13, 12, 12, 11, 10, 10, 9, 9, 8, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0, 0, 0, 0, 0}, 3, 10},
+		{"tableMoreBandsThanSheets", []int{9, 8, 7, 6, 5, 4, 3, 2, 1}, 4, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newPhaseHub(len(tc.owned), nil, tc.bands)
+			var p *Params
+			if tc.b > 0 {
+				p = &Params{B: tc.b, D: 22}
+			}
+			h := newPhaseHub(len(tc.owned), p, tc.bands)
+			per := max(h.per, 1)
+			if tc.b > 0 && h.per != 64/tc.b {
+				t.Fatalf("B = %d lays %d slots to a sheet, want %d", tc.b, h.per, 64/tc.b)
+			}
 			total, maxWork := 0, 0
 			for si, k := range tc.owned {
 				ns := &nodeState{alive: k >= 0, margRead: k != -1}
@@ -261,11 +275,14 @@ func TestHubBandsBalanceWork(t *testing.T) {
 				if h.cut[b] > h.cut[b+1] {
 					t.Fatalf("band %d is [%d, %d)", b, h.cut[b], h.cut[b+1])
 				}
+				if b > 0 && h.cut[b]%per != 0 {
+					t.Errorf("cut %d at slot %d splits a sheet of %d slots; cuts %v", b, h.cut[b], per, h.cut)
+				}
 				work := 0
 				for si := h.cut[b]; si < h.cut[b+1]; si++ {
 					work += h.slots[si].ns.bandWork()
 				}
-				if d := work*tc.bands - total; d > maxWork*tc.bands || -d > maxWork*tc.bands {
+				if d := work*tc.bands - total; d > per*maxWork*tc.bands || -d > per*maxWork*tc.bands {
 					t.Errorf("band %d carries %d of %d work units over %d bands (slot work ≤ %d); cuts %v",
 						b, work, total, tc.bands, maxWork, h.cut)
 				}
@@ -276,12 +293,13 @@ func TestHubBandsBalanceWork(t *testing.T) {
 
 // TestHubBandPanicReRaised: a panic on a band goroutine must surface on
 // the coordinator, the node goroutine whose panics the engine turns
-// into a run error, and only after every band has finished. Slot 1's
-// node claims sheets it does not have, so evaluating band 1 panics.
+// into a run error, and only after every band has finished. The lane
+// table is cut short, so reading slot 1's marginal on band 1 panics.
 func TestHubBandPanicReRaised(t *testing.T) {
-	h := newPhaseHub(2, nil, 2)
+	h := newPhaseHub(2, &Params{B: 10, D: 22}, 2)
+	h.table = h.table[:0]
 	h.slots[0].ns = &nodeState{}
-	h.slots[1].ns = &nodeState{alive: true, margRead: true, sheetOK: true}
+	h.slots[1].ns = &nodeState{alive: true, margRead: true}
 	h.cut = []int{0, 1, 2}
 	defer func() {
 		if recover() == nil {
@@ -335,13 +353,14 @@ func FuzzPhaseBlock(f *testing.F) {
 }
 
 // TestHubSkipsColoredSlots: a colored node sleeps through whole
-// iterations, and its slot keeps the sheets and marginal read of its
-// last live phase. The band passes must skip it: slot 1 claims a read
-// marginal on sheets it does not have, so touching it would panic.
+// iterations, and its slot keeps the owned edges and marginal read of
+// its last live phase. The band passes must skip it: the lane table is
+// cut short, so reading slot 1's lanes would panic.
 func TestHubSkipsColoredSlots(t *testing.T) {
-	h := newPhaseHub(2, nil, 2)
+	h := newPhaseHub(2, &Params{B: 10, D: 22}, 2)
+	h.table = h.table[:0]
 	h.slots[0].ns = &nodeState{}
-	h.slots[1].ns = &nodeState{margRead: true, sheetOK: true, sheetN: 1}
+	h.slots[1].ns = &nodeState{margRead: true, ownedIdx: []int32{0}, ownedSlot: []int32{0}}
 	h.cut = []int{0, 1, 2}
 	h.acc[1] = [2]float64{1, 1}
 	h.forBands(passMarginals)

@@ -26,24 +26,35 @@ import (
 // exact round span (SpinUntil, which the engine fast-forwards in one
 // jump when a whole domain sleeps).
 //
+// When D ≤ 64 the hub keeps one lane table for the component: every
+// slot's B coin forms, stored once as lanes of bit-sliced residual
+// sheets (gf2.FormSheet), per = ⌊64/B⌋ slots to a sheet in slot order.
+// A residual depends only on its form and the seed bits fixed so far,
+// not on which node reads it, so one copy serves a slot's own walks and
+// every owner that reads it as a neighbor. build lays the table out
+// once per run into a sealed base copy; each phase starts from a fresh
+// copy of it and folds every chosen bit in. When D > 64 no sheet holds
+// the forms and the hub walks the slots' coins with the scalar kernel.
+//
 // Within one seed bit every node's edge terms are independent — only
 // their aggregation has an order — so the hub fans each bit out over
 // work bands, contiguous slot ranges cut once per phase at equal work
-// (cutBands), each band on its own split of the shared basis. Pass 1:
-// every slot folds the previously chosen bit into its sheets, and every
-// slot whose marginal an owned edge reads writes its own coin's
+// (cutBands), each band on its own split of the shared basis. The cuts
+// fall on sheet boundaries, so each sheet belongs to one band. Pass 1:
+// every band folds the previously chosen bit into its sheets, then
+// every slot whose marginal an owned edge reads writes its own coin's
 // marginal pair into the per-bit table marg. Pass 2: every slot
-// evaluates its owned edges, reading each neighbor's marginal from the
-// table by slot. Only the tree-order fold and the FixBit stay
-// sequential on the coordinator. A slot's sheets are touched only by
-// the band that holds the slot, which the per-phase cut fixes.
+// evaluates its owned edges, reading each neighbor's lanes, coin and
+// marginal by slot, from whichever band's sheet holds them: no pass 2
+// writes a sheet. Only the tree-order fold and the FixBit stay
+// sequential on the coordinator.
 //
 // Seed bits that no coin form contains are not evaluated at all. For
 // such a bit both branches of every slot's pair are the same floats, so
 // the tree fold would pick 0: the hub fixes it to 0 with no split, no
-// pass and no sheet fold (no sheet lane holds it). The model still runs
-// the bit's aggregation, so the charged traffic, the segment's span and
-// op count every bit.
+// pass and no sheet fold (no lane holds it). The model still runs the
+// bit's aggregation, so the charged traffic, the segment's span and op
+// count every bit.
 //
 // Bit-identity with the reference path (opts.refEval, runPhaseRef: a
 // fresh basis per phase, clone-and-FixBit per β branch, and every
@@ -52,12 +63,14 @@ import (
 //
 //  1. Every node's (x0, x1) pair is the reference's, bit for bit: the
 //     probabilities are exact dyadics, and the same ones whether
-//     gathered from sheets, walked by the scalar kernel under a split
-//     of the hub's basis, or walked under runPhaseRef's cloned bases;
-//     a neighbor's marginal is the same dyadic read from the table as
-//     computed by its owner; and every node's edge terms go through
-//     edgeCombine in owned-edge order, the reference's order —
-//     whichever band computed them.
+//     gathered from the lane table, walked by the scalar kernel under a
+//     split of the hub's basis, or walked under runPhaseRef's cloned
+//     bases; a neighbor's coin, bound by the neighbor from the forms of
+//     its ψ and the (k1, |L|) it sent, is the coin the reference builds
+//     from that payload; a neighbor's marginal is the same dyadic read
+//     from the table as computed by its owner; and every node's edge
+//     terms go through edgeCombine in owned-edge order, the reference's
+//     order — whichever band computed them.
 //  2. The float fold replicates the converge: ConvergeSumLockstepTo
 //     folds, at each tree node, the node's own vector plus each child's
 //     finished accumulator in child arrival order — ascending subtree
@@ -93,9 +106,10 @@ type phaseHub struct {
 	// colored slot's state was last written iterations ago, before
 	// barriers every node has since passed), and the segment wake-up
 	// orders the coordinator's writes before the slots' reads.
-	// The band goroutines of a pass touch only their own slots' acc and
-	// marg entries, their own sbs and panics entries, and read the rest;
-	// the go statements and wg.Wait order them against the coordinator.
+	// The band goroutines of a pass write only their own slots' acc and
+	// marg entries, their own sheets (pass 1), and their own sbs and
+	// panics entries, and read the rest; the go statements and wg.Wait
+	// order them against the coordinator and each other.
 	slots []hubSlot
 	order []int32 // fold order: slot indexes, ascending (SubtreeHeight, slot)
 	acc   [][2]float64
@@ -104,11 +118,17 @@ type phaseHub struct {
 	built bool
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
 
+	// The lane table, when D ≤ 64 (nil otherwise): slot s's forms are
+	// lanes (s mod per)·B .. of sheet s/per, sealed in base by build;
+	// table is the working copy, reset from base at each phase's start.
+	per   int
+	base  []gf2.FormSheet
+	table []gf2.FormSheet
+
 	// The last evaluated seed bit and its chosen value, which each band
-	// folds into its alive slots' sheets at the start of the next
-	// evaluated bit's marginal pass; foldBit < 0 when none is pending.
-	// The fold after a phase's last bit is never made: buildSheets
-	// resets the sheets first.
+	// folds into its sheets at the start of the next evaluated bit's
+	// marginal pass; foldBit < 0 when none is pending. The fold after a
+	// phase's last bit is never made: the next phase resets the table.
 	foldBit int
 	foldVal bool
 
@@ -125,9 +145,10 @@ type hubSlot struct {
 }
 
 // newPhaseHub sizes a hub for a component of size nodes, fanning its
-// seed bits out over bands ≥ 1 work bands.
+// seed bits out over bands ≥ 1 work bands. Seeds of at most 64 bits
+// keep every form in one word and B ≤ 32, so they get a lane table.
 func newPhaseHub(size int, p *Params, bands int) *phaseHub {
-	return &phaseHub{
+	h := &phaseHub{
 		size:    size,
 		p:       p,
 		slots:   make([]hubSlot, size),
@@ -138,11 +159,30 @@ func newPhaseHub(size int, p *Params, bands int) *phaseHub {
 		sbs:     make([]*gf2.SplitBasis, bands),
 		panics:  make([]any, bands),
 	}
+	if p != nil && p.D <= 64 {
+		h.per = 64 / p.B
+		sheets := (size + h.per - 1) / h.per
+		h.base = make([]gf2.FormSheet, sheets)
+		h.table = make([]gf2.FormSheet, sheets)
+	}
+	return h
 }
 
 // build assembles the fold schedule from the registered slots' BFS
-// trees; runs once, on the first phase (the tree is fixed per run).
+// trees and lays every slot's forms out in the lane table; runs once,
+// on the first phase (trees and forms are fixed per run).
 func (h *phaseHub) build() {
+	if h.table != nil {
+		for si := range h.slots {
+			sh := &h.base[si/h.per]
+			if lane, ok := sh.AddForms(h.slots[si].ns.myForms); !ok || lane != si%h.per*h.p.B {
+				panic(fmt.Sprintf("core: lane table refused slot %d's forms", si))
+			}
+		}
+		for k := range h.base {
+			h.base[k].Seal()
+		}
+	}
 	for si := range h.slots {
 		sl := &h.slots[si]
 		t := sl.ns.tree
@@ -179,11 +219,12 @@ func (h *phaseHub) build() {
 // runSeedBits is the central replica of the distributed seed-bit loop:
 // per evaluated bit, the bands' two passes evaluate every slot, the
 // tree-ordered fold replaces the aggregation wave, and the shared basis
-// takes the chosen bit, which the bands fold into the slots' sheets
-// next. A bit in no coin form is fixed to 0 directly.
+// takes the chosen bit, which the bands fold into the lane table next.
+// A bit in no coin form is fixed to 0 directly.
 func (h *phaseHub) runSeedBits() gf2.Vec128 {
 	basis := &h.basis
 	basis.Reset()
+	copy(h.table, h.base)
 	h.cutBands()
 	h.foldBit = -1
 	live := h.p.Fam.OutputSupport(h.p.B)
@@ -232,7 +273,9 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 // own marginal when a neighbor reads it. Edges belong to their smaller
 // endpoint, so low slots carry most of it: equal slot counts would hand
 // the first band about three quarters of a random regular graph's work.
-// The cut decides only which goroutine evaluates a slot, never a value.
+// With a lane table, each interior cut is rounded down to a sheet
+// boundary, so each sheet is folded by exactly one band. The cut decides
+// only which goroutine evaluates a slot, never a value.
 func (h *phaseHub) cutBands() {
 	nb := len(h.sbs)
 	total := 0
@@ -249,6 +292,9 @@ func (h *phaseHub) cutBands() {
 	}
 	for ; b <= nb; b++ {
 		h.cut[b] = h.size
+	}
+	for b := 1; b < nb && h.per > 0; b++ {
+		h.cut[b] -= h.cut[b] % h.per
 	}
 }
 
@@ -267,7 +313,7 @@ func (ns *nodeState) bandWork() int {
 
 // The two per-bit passes of a band.
 const (
-	passMarginals = iota // each slot's pending sheet fold, then each read slot's own marginal into marg
+	passMarginals = iota // the band's pending sheet fold, then each read slot's own marginal into marg
 	passEdges            // each slot's owned-edge sums into acc
 )
 
@@ -301,25 +347,91 @@ func (h *phaseHub) band(pass, b int) {
 		}
 	}()
 	sb := h.sbs[b]
-	for si := h.cut[b]; si < h.cut[b+1]; si++ {
+	lo, hi := h.cut[b], h.cut[b+1]
+	if pass == passMarginals && h.foldBit >= 0 && h.table != nil {
+		for k := lo / h.per; k*h.per < hi; k++ {
+			h.table[k].Fix(h.foldBit, h.foldVal)
+		}
+	}
+	for si := lo; si < hi; si++ {
 		ns := h.slots[si].ns
 		if pass == passMarginals {
-			if ns.alive {
-				if h.foldBit >= 0 {
-					ns.foldSheets(h.foldBit, h.foldVal)
-				}
-				if ns.margRead {
-					h.marg[si] = ns.ownMarginal(sb)
-				}
+			if ns.alive && ns.margRead {
+				h.marg[si] = h.ownMarginal(sb, si)
 			}
 			continue
 		}
 		var x0, x1 float64
 		if ns.alive {
-			x0, x1 = ns.evalPhaseBit(sb, h.marg)
+			x0, x1 = h.evalPhaseBit(sb, si)
 		}
 		h.acc[si] = [2]float64{x0, x1}
 	}
+}
+
+// lanes locates slot si's coin in the lane table: its sheet, and its
+// lanes with this phase's threshold.
+func (h *phaseHub) lanes(si int) (*gf2.FormSheet, gf2.BlockCoin) {
+	c := h.slots[si].ns.phMyCoin
+	return &h.table[si/h.per], gf2.BlockCoin{Lane: si % h.per * c.Bits(), B: c.Bits(), T: c.Threshold()}
+}
+
+// evalPhaseBit sums slot si's owned-edge contributions to the two
+// conditional expectations of the seed bit sb splits — E[X | bit=0] and
+// E[X | bit=1] — accumulated in owned-edge order. Each neighbor's coin
+// and marginal pair (ownMarginal, filled by pass 1) are read by its
+// slot.
+//
+// Two evaluation tiers, bit-identical to each other and to runPhaseRef
+// (the differential and fuzz suites pin both): with a lane table, the
+// slot's coin walked once and the walk replayed per edge against the
+// neighbor's lanes and marginal; without one (D > 64), the scalar split
+// kernel per edge.
+func (h *phaseHub) evalPhaseBit(sb *gf2.SplitBasis, si int) (x0, x1 float64) {
+	ns := h.slots[si].ns
+	k1, k0 := ns.phK1, ns.phK0
+	if h.table == nil {
+		for ei, i := range ns.ownedIdx {
+			cv := h.slots[ns.ownedSlot[ei]].ns.phMyCoin
+			k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
+			e0, e1 := EdgeExpectationSplit(sb, ns.phMyCoin, cv, k1, k0, k1v, k0v)
+			x0 += e0
+			x1 += e1
+		}
+		return x0, x1
+	}
+	if len(ns.ownedIdx) == 0 {
+		return 0, 0
+	}
+	// Joint probabilities and the Lemma 2.2 terms, in owned order — the
+	// same accumulation order as the scalar tier.
+	ow := sb.WalkOwner(h.lanes(si))
+	pu := ow.Marginal()
+	for ei, i := range ns.ownedIdx {
+		mv := ns.ownedSlot[ei]
+		sheet, cv := h.lanes(int(mv))
+		pv := h.marg[mv]
+		p11 := ow.Joint(sheet, cv, pv)
+		k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
+		x0 += edgeCombine(pu.P0, pv.P0, p11.P0, k1, k0, k1v, k0v)
+		x1 += edgeCombine(pu.P1, pv.P1, p11.P1, k1, k0, k1v, k0v)
+	}
+	return x0, x1
+}
+
+// ownMarginal returns slot si's own coin marginal under both branches
+// of sb's split bit, read off its lanes or walked by the scalar kernel
+// when there is no lane table: the slot's entry in the per-bit table.
+func (h *phaseHub) ownMarginal(sb *gf2.SplitBasis, si int) gf2.ProbPair {
+	if h.table == nil {
+		p0, p1 := sb.ProbOnePair(h.slots[si].ns.phMyCoin)
+		return gf2.ProbPair{P0: p0, P1: p1}
+	}
+	sheet, cu := h.lanes(si)
+	req := [1]gf2.BlockCoin{cu}
+	var out [1]gf2.ProbPair
+	sb.ProbOnePairBlock(sheet, req[:], out[:])
+	return out[0]
 }
 
 // runPhaseBulk is an alive node's entry to the hub for one phase:

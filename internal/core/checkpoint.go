@@ -270,29 +270,6 @@ func hasNeighbor(g *graph.Graph, v, w int) bool {
 	return ok
 }
 
-// prefillRestored replays the restored nodes' past iterations into the
-// metrics (weight 1: restores never run deduplicated) and grafts done
-// nodes' colors into the result arrays, since they never rerun.
-func prefillRestored(m *metrics, colors []uint32, coloredFlag []bool, restore []*nodeRestore) {
-	for v, rs := range restore {
-		if rs == nil {
-			continue
-		}
-		for i := 0; i < rs.iter; i++ {
-			if !rs.colored || i <= rs.coloredAt {
-				m.addAlive(i, v, 1)
-			}
-		}
-		if rs.colored {
-			m.addColored(rs.coloredAt, v, 1)
-		}
-		if rs.done {
-			colors[v] = rs.color
-			coloredFlag[v] = rs.colored
-		}
-	}
-}
-
 // ListColorResumable is ListColorCONGEST with checkpoint/restore: ck,
 // when non-nil, collects a consistent cut at every partial-coloring
 // iteration boundary; snap, when non-nil, restores the run from such a

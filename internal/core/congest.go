@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"smallbandwidth/internal/congest"
 	"smallbandwidth/internal/gf2"
@@ -37,172 +36,6 @@ type Result struct {
 	PotentialPhase [][]float64
 	Params         *Params
 	Done           bool // all nodes colored (false only with MaxIterations)
-}
-
-// metrics collects measurement-only data outside the protocol.
-// Potential contributions are stored per node and summed in node order
-// at collection: a shared accumulator would add them in goroutine
-// completion order, making the reported float sums depend on
-// scheduling. Per-node storage keeps the telemetry bit-deterministic
-// across runs and worker counts (the differential tests compare it
-// bitwise).
-//
-// The accumulators are striped over contiguous node bands of 2^12
-// nodes: node goroutines running on different engine delivery shards
-// lock different stripes, so telemetry writes never serialize the
-// parallel phase loop on one mutex. Folding iterates the stripes in
-// order and each band's nodes ascending — exactly the ascending-node-
-// order float sum the single accumulator produced, so the reported
-// telemetry stays bit-identical across worker counts.
-const metricStripeShift = 12
-
-type metricStripe struct {
-	mu       sync.Mutex
-	potStart map[int][]float64         // iteration → band-local per-node Φ₀
-	potPhase map[int]map[int][]float64 // iteration → phase → band-local Φ_ℓ
-	colored  map[int]int
-	alive    map[int]int
-	_        [4]uint64 // no two stripes' hot words on one cache line
-}
-
-type metrics struct {
-	n       int
-	track   bool
-	stripes []metricStripe
-}
-
-func newMetrics(track bool, n int) *metrics {
-	m := &metrics{n: n, track: track,
-		stripes: make([]metricStripe, (n>>metricStripeShift)+1)}
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.potStart = map[int][]float64{}
-		s.potPhase = map[int]map[int][]float64{}
-		s.colored = map[int]int{}
-		s.alive = map[int]int{}
-	}
-	return m
-}
-
-// stripe returns node's accumulator band.
-func (m *metrics) stripe(node int) *metricStripe {
-	return &m.stripes[node>>metricStripeShift]
-}
-
-// bandWidth is the node count of stripe si (the last band is short).
-func (m *metrics) bandWidth(si int) int {
-	w := m.n - si<<metricStripeShift
-	if w > 1<<metricStripeShift {
-		w = 1 << metricStripeShift
-	}
-	return w
-}
-
-func (m *metrics) addPotStart(iter, node int, phi float64) {
-	if !m.track {
-		return
-	}
-	s := m.stripe(node)
-	s.mu.Lock()
-	if s.potStart[iter] == nil {
-		s.potStart[iter] = make([]float64, m.bandWidth(node>>metricStripeShift))
-	}
-	s.potStart[iter][node&(1<<metricStripeShift-1)] = phi
-	s.mu.Unlock()
-}
-
-func (m *metrics) addPotPhase(iter, phase, node int, phi float64) {
-	if !m.track {
-		return
-	}
-	s := m.stripe(node)
-	s.mu.Lock()
-	if s.potPhase[iter] == nil {
-		s.potPhase[iter] = map[int][]float64{}
-	}
-	if s.potPhase[iter][phase] == nil {
-		s.potPhase[iter][phase] = make([]float64, m.bandWidth(node>>metricStripeShift))
-	}
-	s.potPhase[iter][phase][node&(1<<metricStripeShift-1)] = phi
-	s.mu.Unlock()
-}
-
-// sumNodeOrder folds per-node contributions into the running total in
-// ascending node order. Callers folding striped storage thread one
-// accumulator through every band so the additions happen in exactly
-// the order a single n-length slice would produce.
-func sumNodeOrder(total float64, vals []float64) float64 {
-	for _, v := range vals {
-		total += v
-	}
-	return total
-}
-
-func (m *metrics) addColored(iter, node, weight int) {
-	s := m.stripe(node)
-	s.mu.Lock()
-	s.colored[iter] += weight
-	s.mu.Unlock()
-}
-
-func (m *metrics) addAlive(iter, node, weight int) {
-	s := m.stripe(node)
-	s.mu.Lock()
-	s.alive[iter] += weight
-	s.mu.Unlock()
-}
-
-// The collection accessors run only after the engine run has completed
-// (or before it starts, for restored-run prefills), so they read the
-// stripes unlocked, like the single-accumulator reads they replace.
-
-// aliveTotal sums the stripes' alive counts for one iteration; ok
-// reports whether any node recorded the iteration at all.
-func (m *metrics) aliveTotal(iter int) (total int, ok bool) {
-	for i := range m.stripes {
-		if a, has := m.stripes[i].alive[iter]; has {
-			total += a
-			ok = true
-		}
-	}
-	return total, ok
-}
-
-func (m *metrics) coloredTotal(iter int) int {
-	total := 0
-	for i := range m.stripes {
-		total += m.stripes[i].colored[iter]
-	}
-	return total
-}
-
-// potStartSum folds iteration iter's Φ₀ contributions: one running
-// accumulator over stripes in order, nodes ascending within each — the
-// exact ascending-node-order sum of the unstriped slice (absent bands
-// skip the same +0 terms their zero entries added, which never changes
-// a finite partial sum starting at +0).
-func (m *metrics) potStartSum(iter int) float64 {
-	total := 0.0
-	for i := range m.stripes {
-		total = sumNodeOrder(total, m.stripes[i].potStart[iter])
-	}
-	return total
-}
-
-func (m *metrics) potPhaseSum(iter, phase int) float64 {
-	total := 0.0
-	for i := range m.stripes {
-		total = sumNodeOrder(total, m.stripes[i].potPhase[iter][phase])
-	}
-	return total
-}
-
-// dropIter releases a folded iteration's per-node contribution slices.
-func (m *metrics) dropIter(iter int) {
-	for i := range m.stripes {
-		delete(m.stripes[i].potStart, iter)
-		delete(m.stripes[i].potPhase, iter)
-	}
 }
 
 // ListColorCONGEST solves the (degree+1)-list-coloring instance in the
@@ -424,11 +257,16 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		}
 	}
 
-	m := newMetrics(opts.TrackPotentials, inst.G.N())
+	// Every node's final state, written by the node itself when its
+	// program ends; the telemetry is folded from it after the run.
 	colors := make([]uint32, inst.G.N())
 	coloredFlag := make([]bool, inst.G.N())
+	coloredAt := make([]int32, inst.G.N())
+	var pots [][]float64
+	if opts.TrackPotentials {
+		pots = make([][]float64, inst.G.N())
+	}
 	ar := newRunArenas(inst, opts.Workers)
-	var mu sync.Mutex
 
 	cfg := congest.Config{MaxWords: opts.MaxWords, MaxRounds: opts.MaxRounds, Workers: opts.Workers}
 	var restore []*nodeRestore
@@ -436,14 +274,15 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		cfg.Checkpoint = ckr.ck
 		cfg.Resume = ckr.snap
 		restore = ckr.restore
-		if restore != nil {
-			if weights != nil {
-				return nil, nil, fmt.Errorf("core: cannot resume a telemetry-weighted run")
+		if restore != nil && weights != nil {
+			return nil, nil, fmt.Errorf("core: cannot resume a telemetry-weighted run")
+		}
+		// Nodes already done in the snapshot never rerun: graft their
+		// final state directly.
+		for v, rs := range restore {
+			if rs != nil && rs.done {
+				colors[v], coloredFlag[v], coloredAt[v] = rs.color, rs.colored, int32(rs.coloredAt)
 			}
-			// Nodes already done in the snapshot never rerun; restored
-			// nodes replay their past iterations into the metrics, and
-			// done nodes contribute their recorded colors directly.
-			prefillRestored(m, colors, coloredFlag, restore)
 		}
 	}
 	stats, domStats, err := congest.RunWithDomains(inst.G, cfg, func(ctx *congest.Ctx) {
@@ -451,7 +290,7 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		if weights != nil {
 			w = weights[ctx.ID()]
 		}
-		ns := &nodeState{ctx: ctx, p: params[ctx.ID()], opts: opts, m: m,
+		ns := &nodeState{ctx: ctx, p: params[ctx.ID()], opts: opts,
 			root: int(roots[ctx.ID()]), rank: ranks[ctx.ID()], weight: w}
 		if hubs != nil {
 			// Register once, at node start: the hub's fold schedule needs
@@ -469,40 +308,58 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		} else {
 			ns.run()
 		}
-		mu.Lock()
-		colors[ctx.ID()] = ns.color
-		coloredFlag[ctx.ID()] = ns.colored
-		mu.Unlock()
+		v := ctx.ID()
+		colors[v], coloredFlag[v], coloredAt[v] = ns.color, ns.colored, int32(ns.coloredAt)
+		if pots != nil {
+			pots[v] = ns.pots
+		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
+	// Fold the telemetry. A node is alive at the top of iterations
+	// 0..coloredAt, or of all MaxIterations when it ends uncolored (only
+	// the cap stops a component with an alive node).
 	res := &Result{Colors: colors, Stats: *stats, Params: p, Done: true}
-	for _, ok := range coloredFlag {
+	for v, ok := range coloredFlag {
+		w := 1
+		if weights != nil {
+			w = weights[v]
+		}
+		alive := int(coloredAt[v]) + 1
 		if !ok {
 			res.Done = false
-			break
+			alive = opts.MaxIterations
+		}
+		for len(res.AliveAt) < alive {
+			res.AliveAt = append(res.AliveAt, 0)
+			res.Colored = append(res.Colored, 0)
+		}
+		for i := 0; i < alive; i++ {
+			res.AliveAt[i] += w
+		}
+		if ok {
+			res.Colored[alive-1] += w
 		}
 	}
-	for iter := 0; ; iter++ {
-		a, ok := m.aliveTotal(iter)
-		if !ok {
-			break
-		}
-		res.Iterations++
-		res.AliveAt = append(res.AliveAt, a)
-		res.Colored = append(res.Colored, m.coloredTotal(iter))
-		if opts.TrackPotentials {
-			res.PotentialStart = append(res.PotentialStart, m.potStartSum(iter))
-			phases := make([]float64, p.LogC)
-			for l := 1; l <= p.LogC; l++ {
-				phases[l-1] = m.potPhaseSum(iter, l)
+	res.Iterations = len(res.AliveAt)
+	if pots != nil {
+		// Node v recorded Φ₀..Φ_LogC for each iteration it was alive in.
+		// Every sum adds its terms in ascending node order, so the floats
+		// are the same at every worker count.
+		stride := p.LogC + 1
+		for i := 0; i < res.Iterations; i++ {
+			sums := make([]float64, stride)
+			for _, rec := range pots {
+				if len(rec) > i*stride {
+					for l, phi := range rec[i*stride : (i+1)*stride] {
+						sums[l] += phi
+					}
+				}
 			}
-			res.PotentialPhase = append(res.PotentialPhase, phases)
-			// Folded: release the per-node contribution slices so tracked
-			// runs hold at most the iterations not yet collected.
-			m.dropIter(iter)
+			res.PotentialStart = append(res.PotentialStart, sums[0])
+			res.PotentialPhase = append(res.PotentialPhase, sums[1:])
 		}
 	}
 	if res.Done && weights == nil {
@@ -518,7 +375,6 @@ type nodeState struct {
 	ctx    *congest.Ctx
 	p      *Params
 	opts   Options
-	m      *metrics
 	root   int    // BFS root of this node's connected component
 	rank   uint64 // rank within the component (sorted order); seeds Linial
 	weight int    // telemetry multiplier: how many identical components this node's component stands for
@@ -550,26 +406,20 @@ type nodeState struct {
 	// Reused scratch: these are rewritten every iteration/phase, and
 	// keeping them on the node state (instead of allocating per use)
 	// removes the dominant steady-state allocations of a run.
-	nbrCoins  []gf2.Coin
 	hNbr      []bool
 	nbrColors []uint64
 
-	// Derandomization hot-path caches. The coin *forms* of a node depend
-	// only on (ψ, B), both fixed for the whole run once Linial finishes,
-	// so each node materializes its own and every conflict neighbor's
-	// hash-output forms once and reuses them every phase — only the coin
-	// thresholds change per phase. The caches are keyed by the ψ value
-	// actually used, so a changed ψ would rebuild rather than miscompute.
-	myForms     []gf2.Form
-	myFormsPsi  uint64
-	myFormsOK   bool
-	nbrForms    [][]gf2.Form
-	nbrFormsPsi []uint64
-	nbrFormsOK  []bool
+	// myForms are this node's coin forms: they depend only on (ψ, B), so
+	// loop builds them once, when ψ is final, and every phase binds them
+	// to its threshold. The hub lays them out once in its lane table.
+	myForms []gf2.Form
 
-	convVec  [2]float64 // reused aggregation input vector
-	ownedIdx []int32    // neighbor indexes of owned conflict edges (rebuilt per phase)
-	margRead bool       // some conflict neighbor owns an edge into this node (this phase)
+	pots []float64 // with TrackPotentials: weighted Φ₀..Φ_LogC per alive iteration
+
+	convVec   [2]float64 // reused aggregation input vector
+	ownedIdx  []int32    // neighbor indexes of owned conflict edges (rebuilt per phase)
+	ownedSlot []int32    // hub slots of those neighbors, in the same order
+	margRead  bool       // some conflict neighbor owns an edge into this node (this phase)
 
 	// Bulk-aggregation seam (bulk.go): the component's phase hub and the
 	// shared node→rank table its fold schedule is built from. nil/unset
@@ -579,22 +429,10 @@ type nodeState struct {
 
 	// Phase-scoped inputs of the seed-bit loop, stored so the hub can
 	// evaluate this node's edges centrally: this node's bit-split counts
-	// and bound coin (runPhase prologue).
+	// and bound coin (runPhase prologue). An owner reads its neighbor's
+	// coin here, by the neighbor's slot.
 	phK1, phK0 int
 	phMyCoin   gf2.Coin
-
-	// Bit-sliced residual sheets over the owned conflict edges
-	// (gf2.FormSheet): each sheet packs this node's coin forms plus as
-	// many neighbor coins as fit its 64 lanes, is folded incrementally
-	// as seed bits are chosen, and feeds the block kernels. Rebuilt per
-	// phase (the storage is reused); sheetOK gates the batched path —
-	// when false (D > 64, whose forms carry high-word masks) the hub
-	// evaluates the node's edges with the scalar kernel one by one.
-	sheets  []*gf2.FormSheet
-	sheetN  int
-	sheetOK bool
-	ownBlk  gf2.BlockCoin // this node's coin: the same lanes on every sheet
-	edgeBlk []edgeBlock   // per owned edge: sheet index and neighbor lanes
 
 	// msgArena holds the reusable outgoing payload buffers, 4 words (the
 	// bandwidth cap) per neighbor, two arenas alternating by round
@@ -613,39 +451,11 @@ type nodeState struct {
 	msgArena [2][]uint64
 }
 
-// edgeBlock locates one owned conflict edge's neighbor coin on this
-// node's residual sheets. mv is the neighbor's slot in the hub's
-// per-bit marginal table.
-type edgeBlock struct {
-	sheet int32
-	mv    int32
-	cv    gf2.BlockCoin
-}
-
 // msgBuf returns the empty reusable payload buffer for neighbor index i
 // in the current round (append up to 4 words, then Send).
 func (ns *nodeState) msgBuf(i int) congest.Message {
 	a := ns.msgArena[ns.ctx.Round()&1]
 	return a[4*i : 4*i : 4*i+4]
-}
-
-// ownForms returns this node's cached hash-output forms for ψ.
-func (ns *nodeState) ownForms() []gf2.Form {
-	if !ns.myFormsOK || ns.myFormsPsi != ns.psi {
-		ns.myForms = ns.p.Fam.OutputFormsInto(ns.psi, ns.p.B, ns.myForms)
-		ns.myFormsPsi, ns.myFormsOK = ns.psi, true
-	}
-	return ns.myForms
-}
-
-// neighborForms returns the cached hash-output forms of neighbor index i
-// with input color psi.
-func (ns *nodeState) neighborForms(i int, psi uint64) []gf2.Form {
-	if !ns.nbrFormsOK[i] || ns.nbrFormsPsi[i] != psi {
-		ns.nbrForms[i] = ns.p.Fam.OutputFormsInto(psi, ns.p.B, ns.nbrForms[i])
-		ns.nbrFormsPsi[i], ns.nbrFormsOK[i] = psi, true
-	}
-	return ns.nbrForms[i]
 }
 
 // runArenas holds one run's per-edge node state in flat arrays carved
@@ -666,18 +476,15 @@ type runArenas struct {
 	aliveNbr []bool // by edge ID: neighbor still uncolored
 	conflict []bool // by edge ID: same prefix, both alive
 	hNbr     []bool // by edge ID: conflict-graph neighbor in V<4
-	formsOK  []bool // by edge ID: neighbor forms cache valid
 
-	nbrK1    []uint64 // by edge ID: neighbor's k1 this phase
-	nbrLen   []uint64 // by edge ID: neighbor's |L| this phase
-	nbrPsi   []uint64 // by edge ID: neighbor's ψ
-	formsPsi []uint64 // by edge ID: ψ the forms cache was built for
+	nbrK1  []uint64 // by edge ID: neighbor's k1 this phase
+	nbrLen []uint64 // by edge ID: neighbor's |L| this phase
+	nbrPsi []uint64 // by edge ID: neighbor's ψ
 
-	coins     []gf2.Coin   // by edge ID: neighbor coin scratch
-	forms     [][]gf2.Form // by edge ID: cached neighbor output forms
-	nbrColors []uint64     // cap-deg scratch per node (Linial rounds)
-	owned     []int32      // cap-deg per node: owned conflict edge list
-	msg       [2][]uint64  // 4 words per edge ID, two round-parity arenas
+	nbrColors []uint64    // cap-deg scratch per node (Linial rounds)
+	owned     []int32     // cap-deg per node: owned conflict edge list
+	ownedSlot []int32     // cap-deg per node: the owned edges' neighbor slots
+	msg       [2][]uint64 // 4 words per edge ID, two round-parity arenas
 
 	listOff []int32  // per-node offsets into lists/cands
 	lists   []uint32 // remaining allowed colors, carved per node
@@ -724,15 +531,12 @@ func newRunArenas(inst *graph.Instance, workers int) *runArenas {
 		aliveNbr:  make([]bool, arcs),
 		conflict:  make([]bool, arcs),
 		hNbr:      make([]bool, arcs),
-		formsOK:   make([]bool, arcs),
 		nbrK1:     make([]uint64, arcs),
 		nbrLen:    make([]uint64, arcs),
 		nbrPsi:    make([]uint64, arcs),
-		formsPsi:  make([]uint64, arcs),
-		coins:     make([]gf2.Coin, arcs),
-		forms:     make([][]gf2.Form, arcs),
 		nbrColors: make([]uint64, arcs),
 		owned:     make([]int32, arcs),
+		ownedSlot: make([]int32, arcs),
 		listOff:   make([]int32, g.N()+1),
 		msg:       [2][]uint64{make([]uint64, 4*arcs), make([]uint64, 4*arcs)},
 	}
@@ -763,13 +567,10 @@ func (ns *nodeState) init(inst *graph.Instance, ar *runArenas) {
 	ns.nbrK1 = ar.nbrK1[lo:hi:hi]
 	ns.nbrLen = ar.nbrLen[lo:hi:hi]
 	ns.nbrPsi = ar.nbrPsi[lo:hi:hi]
-	ns.nbrCoins = ar.coins[lo:hi:hi]
 	ns.hNbr = ar.hNbr[lo:hi:hi]
 	ns.nbrColors = ar.nbrColors[lo:lo:hi]
-	ns.nbrForms = ar.forms[lo:hi:hi]
-	ns.nbrFormsPsi = ar.formsPsi[lo:hi:hi]
-	ns.nbrFormsOK = ar.formsOK[lo:hi:hi]
 	ns.ownedIdx = ar.owned[lo:lo:hi]
+	ns.ownedSlot = ar.ownedSlot[lo:lo:hi]
 	ns.msgArena[0] = ar.msg[0][4*lo : 4*hi : 4*hi]
 	ns.msgArena[1] = ar.msg[1][4*lo : 4*hi : 4*hi]
 	llo, lhi := int(ar.listOff[v]), int(ar.listOff[v+1])
@@ -795,6 +596,7 @@ func (ns *nodeState) run() {
 // round, which is exactly what the engine needs to assemble the
 // committed blobs plus the queued backlog into a consistent cut.
 func (ns *nodeState) loop(startIter int) {
+	ns.myForms = ns.p.Fam.OutputForms(ns.psi, ns.p.B) // ψ is final here
 	maxIter := ns.opts.MaxIterations
 	for iter := startIter; ; iter++ {
 		if ns.opts.crashIter > 0 && iter+1 == ns.opts.crashIter && ns.ctx.ID() == ns.opts.crashNode {
@@ -819,7 +621,6 @@ func (ns *nodeState) loop(startIter int) {
 		ns.compAlive = int64(totals[0])
 		switch {
 		case ns.alive:
-			ns.m.addAlive(iter, ns.ctx.ID(), ns.weight)
 			ns.partialIteration(iter)
 		case ns.hub != nil:
 			ns.sleepIteration()
@@ -914,16 +715,16 @@ func (ns *nodeState) partialIteration(iter int) {
 	}
 	if ns.alive {
 		ns.cands = append(ns.cands[:0], ns.list...)
-		ns.m.addPotStart(iter, ns.ctx.ID(), float64(ns.weight)*float64(aliveDeg)/float64(len(ns.cands)))
+		ns.recordPotential(aliveDeg)
 	} else {
 		ns.cands = ns.cands[:0]
 	}
 
 	for l := 1; l <= ns.p.LogC; l++ {
 		if ns.opts.refEval {
-			ns.runPhaseRef(iter, l)
+			ns.runPhaseRef(l)
 		} else {
-			ns.runPhase(iter, l)
+			ns.runPhase(l)
 		}
 	}
 
@@ -1032,7 +833,6 @@ func (ns *nodeState) finishIteration(iter int, inMIS bool) {
 		ns.colored = true
 		ns.alive = false
 		ns.coloredAt = iter
-		ns.m.addColored(iter, ns.ctx.ID(), ns.weight)
 		for i, w := range ns.ctx.Neighbors() {
 			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagFinal, uint64(ns.color)))
 		}
@@ -1047,7 +847,7 @@ func (ns *nodeState) applyFinals(in []congest.Incoming) {
 		mustTag(m, tagFinal)
 		ns.aliveNbr[ns.ctx.NeighborIndex(m.From)] = false
 		if ns.alive {
-			ns.list = removeColor(ns.list, uint32(m.Payload[1]))
+			ns.list = graph.RemoveColor(ns.list, uint32(m.Payload[1]))
 		}
 	}
 }
@@ -1060,14 +860,13 @@ func (ns *nodeState) applyFinals(in []congest.Incoming) {
 // conflict graph.
 //
 // This is the derandomization hot path, restructured for the steady
-// state: coin forms come from the per-run caches (only thresholds change
-// per phase), the owned edges' form residuals live on incrementally
-// folded sheets, and every buffer (payloads, sheets, aggregation
-// vector) is reused, so a phase allocates nothing once the caches are
-// warm. runPhaseRef keeps the pre-optimization evaluation path; the two
-// must produce bit-identical seeds, potentials, and traffic.
-func (ns *nodeState) runPhase(iter, l int) {
-	deg := ns.ctx.Degree()
+// state: the coin forms are built once per run (only thresholds change
+// per phase), their residuals live once in the hub's incrementally
+// folded lane table, and every buffer (payloads, table, aggregation
+// vector) is reused. runPhaseRef keeps the pre-optimization evaluation
+// path; the two must produce bit-identical seeds, potentials, and
+// traffic.
+func (ns *nodeState) runPhase(l int) {
 	bitPos := ns.p.LogC - l
 	var k1, k0 int
 	if ns.alive {
@@ -1085,33 +884,25 @@ func (ns *nodeState) runPhase(iter, l int) {
 		ns.nbrK1[i], ns.nbrLen[i], ns.nbrPsi[i] = in.Payload[1], in.Payload[2], in.Payload[3]
 	}
 
-	// Bind this node's and the conflict neighbors' cached forms to this
-	// phase's thresholds.
+	// Bind this node's forms to this phase's threshold. Each conflict
+	// neighbor binds its own from the (ψ, k1, |L|) it sent, so the hub
+	// reads a neighbor's coin from the neighbor's slot.
 	var myCoin gf2.Coin
-	nbrCoins := ns.nbrCoins
 	if ns.alive {
 		var err error
-		myCoin, err = gf2.NewCoinFromForms(ns.ownForms(), uint64(k1), uint64(len(ns.cands)))
+		myCoin, err = gf2.NewCoinFromForms(ns.myForms, uint64(k1), uint64(len(ns.cands)))
 		if err != nil {
 			panic(fmt.Sprintf("core: node %d coin: %v", ns.ctx.ID(), err))
 		}
-		for i := 0; i < deg; i++ {
-			if !ns.conflict[i] {
-				continue
-			}
-			nbrCoins[i], err = gf2.NewCoinFromForms(ns.neighborForms(i, ns.nbrPsi[i]), ns.nbrK1[i], ns.nbrLen[i])
-			if err != nil {
-				panic(fmt.Sprintf("core: node %d neighbor coin: %v", ns.ctx.ID(), err))
-			}
-		}
 	}
 
-	// Owned conflict edges (each edge is owned by its smaller endpoint);
-	// the conflict set is fixed for the whole phase, so the seed-bit loop
-	// iterates this list instead of rescanning the full neighbor set D
-	// times. A conflict neighbor with a smaller ID owns the shared edge
-	// and reads this node's marginal.
+	// Owned conflict edges (each edge is owned by its smaller endpoint)
+	// and their neighbors' hub slots; the conflict set is fixed for the
+	// whole phase, so the seed-bit loop iterates this list instead of
+	// rescanning the full neighbor set D times. A conflict neighbor with
+	// a smaller ID owns the shared edge and reads this node's marginal.
 	ns.ownedIdx = ns.ownedIdx[:0]
+	ns.ownedSlot = ns.ownedSlot[:0]
 	ns.margRead = false
 	if ns.alive {
 		for i, w := range ns.ctx.Neighbors() {
@@ -1119,148 +910,23 @@ func (ns *nodeState) runPhase(iter, l int) {
 			case !ns.conflict[i]:
 			case int(w) > ns.ctx.ID():
 				ns.ownedIdx = append(ns.ownedIdx, int32(i))
+				ns.ownedSlot = append(ns.ownedSlot, int32(ns.rankOf[w]))
 			default:
 				ns.margRead = true
 			}
 		}
 	}
 
-	// Stash the seed-bit loop's inputs and lay the owned edges' form
-	// residuals out as incrementally folded sheets (the bit-sliced block
-	// path; evalPhaseBit uses the scalar kernel when the layout doesn't
-	// apply). The hub then runs the whole seed-bit segment centrally and
-	// returns the component's seed (bulk.go).
+	// Stash the seed-bit loop's inputs; the hub then runs the whole
+	// seed-bit segment centrally and returns the component's seed
+	// (bulk.go).
 	ns.phK1, ns.phK0, ns.phMyCoin = k1, k0, myCoin
-	ns.buildSheets(myCoin)
-	ns.finishPhase(iter, l, bitPos, myCoin, ns.runPhaseBulk())
-}
-
-// buildSheets lays this phase's owned-edge coin forms out on residual
-// sheets: each sheet carries this node's form group once plus as many
-// neighbor groups as fit, in owned-edge order, so one sheet's neighbor
-// coins are a contiguous run of owned edges. D ≤ 64 keeps every mask in
-// the low word and B ≤ 32, so the own group and a neighbor group always
-// share a fresh sheet; a group AddForms still refused would clear
-// sheetOK and send the whole node to the scalar kernel — never a mixed
-// layout, which keeps the tier identical across bits.
-func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
-	ns.sheetN = 0
-	ns.edgeBlk = ns.edgeBlk[:0]
-	// Sheets are single-word and the block kernels split bits below 64
-	// only, so D ≤ 64 gates the layout.
-	ns.sheetOK = ns.p.D <= 64 && ns.alive && len(ns.ownedIdx) > 0
-	if !ns.sheetOK {
-		return
-	}
-	myForms := ns.ownForms()
-	nbrs := ns.ctx.Neighbors()
-	var cur *gf2.FormSheet
-	for _, i := range ns.ownedIdx {
-		fv := ns.neighborForms(int(i), ns.nbrPsi[i])
-		if cur == nil || cur.Free() < len(fv) {
-			cur = ns.nextSheet()
-			lane, ok := cur.AddForms(myForms)
-			if !ok {
-				ns.sheetOK, ns.sheetN = false, 0
-				return
-			}
-			ns.ownBlk = gf2.BlockCoin{Lane: lane, B: myCoin.Bits(), T: myCoin.Threshold()}
-		}
-		lane, ok := cur.AddForms(fv)
-		if !ok {
-			ns.sheetOK, ns.sheetN = false, 0
-			return
-		}
-		cv := ns.nbrCoins[i]
-		ns.edgeBlk = append(ns.edgeBlk, edgeBlock{
-			sheet: int32(ns.sheetN - 1),
-			mv:    int32(ns.rankOf[nbrs[i]]),
-			cv:    gf2.BlockCoin{Lane: lane, B: cv.Bits(), T: cv.Threshold()},
-		})
-	}
-	for k := 0; k < ns.sheetN; k++ {
-		ns.sheets[k].Seal()
-	}
-}
-
-// nextSheet returns the next reusable sheet, reset.
-func (ns *nodeState) nextSheet() *gf2.FormSheet {
-	if ns.sheetN == len(ns.sheets) {
-		ns.sheets = append(ns.sheets, new(gf2.FormSheet))
-	}
-	s := ns.sheets[ns.sheetN]
-	s.Reset()
-	ns.sheetN++
-	return s
-}
-
-// foldSheets folds the chosen value of seed bit j into every residual
-// sheet — the per-bit incremental update that lets the next evaluated
-// bit start from current residuals instead of re-reducing each form
-// against the basis.
-//
-//sbw:allocfree phase-step kernel: per-seed-bit sheet fold, once per node per evaluated bit on the node's hub band
-func (ns *nodeState) foldSheets(j int, rj bool) {
-	for k := 0; k < ns.sheetN; k++ {
-		ns.sheets[k].Fix(j, rj)
-	}
-}
-
-// evalPhaseBit sums this node's owned-edge contributions to the two
-// conditional expectations of the seed bit sb splits — E[X | bit=0] and
-// E[X | bit=1] — accumulated in owned-edge order. marg is the hub's
-// per-bit table of every slot's own-coin marginal pair (ownMarginal),
-// read by neighbor slot.
-//
-// Two evaluation tiers, bit-identical to each other and to runPhaseRef
-// (the differential and fuzz suites pin both): the batched sheet path —
-// this node's coin walked once, and the walk replayed per edge against
-// the neighbor's coin and marginal — for D ≤ 64, and the scalar split
-// kernel for nodes whose forms no sheet can carry (D > 64).
-func (ns *nodeState) evalPhaseBit(sb *gf2.SplitBasis, marg []gf2.ProbPair) (x0, x1 float64) {
-	k1, k0 := ns.phK1, ns.phK0
-	if ns.sheetOK {
-		// Joint probabilities and the Lemma 2.2 terms, in owned order —
-		// the same accumulation order as the scalar path.
-		ow := sb.WalkOwner(ns.sheets[0], ns.ownBlk)
-		pu := ow.Marginal()
-		for ei, i := range ns.ownedIdx {
-			eb := &ns.edgeBlk[ei]
-			pv := marg[eb.mv]
-			p11 := ow.Joint(ns.sheets[eb.sheet], eb.cv, pv)
-			k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-			x0 += edgeCombine(pu.P0, pv.P0, p11.P0, k1, k0, k1v, k0v)
-			x1 += edgeCombine(pu.P1, pv.P1, p11.P1, k1, k0, k1v, k0v)
-		}
-		return x0, x1
-	}
-	for _, i := range ns.ownedIdx {
-		k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-		e0, e1 := EdgeExpectationSplit(sb, ns.phMyCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
-		x0 += e0
-		x1 += e1
-	}
-	return x0, x1
-}
-
-// ownMarginal returns this node's own coin marginal under both
-// branches of sb's split bit: read off its first sheet (the own-coin
-// group heads every sheet), or walked by the scalar kernel when the
-// node has no sheets. The hub's table entry for this slot.
-func (ns *nodeState) ownMarginal(sb *gf2.SplitBasis) gf2.ProbPair {
-	if !ns.sheetOK {
-		p0, p1 := sb.ProbOnePair(ns.phMyCoin)
-		return gf2.ProbPair{P0: p0, P1: p1}
-	}
-	req := [1]gf2.BlockCoin{ns.ownBlk}
-	var out [1]gf2.ProbPair
-	sb.ProbOnePairBlock(ns.sheets[0], req[:], out[:])
-	return out[0]
+	ns.finishPhase(bitPos, myCoin, ns.runPhaseBulk())
 }
 
 // finishPhase extends prefixes and prunes the conflict graph (1 round);
 // shared tail of runPhase and runPhaseRef.
-func (ns *nodeState) finishPhase(iter, l, bitPos int, myCoin gf2.Coin, seed gf2.Vec128) {
+func (ns *nodeState) finishPhase(bitPos int, myCoin gf2.Coin, seed gf2.Vec128) {
 	var myBit bool
 	if ns.alive {
 		myBit = myCoin.Value(seed)
@@ -1286,7 +952,15 @@ func (ns *nodeState) finishPhase(iter, l, bitPos int, myCoin gf2.Coin, seed gf2.
 		}
 	}
 	if ns.alive {
-		ns.m.addPotPhase(iter, l, ns.ctx.ID(), float64(ns.weight)*float64(confDeg)/float64(len(ns.cands)))
+		ns.recordPotential(confDeg)
+	}
+}
+
+// recordPotential appends this node's weighted potential
+// deg/|L| to its record, with TrackPotentials.
+func (ns *nodeState) recordPotential(deg int) {
+	if ns.opts.TrackPotentials {
+		ns.pots = append(ns.pots, float64(ns.weight)*float64(deg)/float64(len(ns.cands)))
 	}
 }
 
@@ -1296,7 +970,7 @@ func (ns *nodeState) finishPhase(iter, l, bitPos int, myCoin gf2.Coin, seed gf2.
 // as ordinary echelon rows cloned and re-reduced per β branch, and
 // allocating sends. TestPhasePotentialsMatchReference pins that runPhase
 // reproduces its seeds, potentials, stats, and colors bit for bit.
-func (ns *nodeState) runPhaseRef(iter, l int) {
+func (ns *nodeState) runPhaseRef(l int) {
 	deg := ns.ctx.Degree()
 	bitPos := ns.p.LogC - l
 	var k1, k0 int
@@ -1317,7 +991,7 @@ func (ns *nodeState) runPhaseRef(iter, l int) {
 
 	// Build this node's coin and its conflict neighbors' coins afresh.
 	var myCoin gf2.Coin
-	nbrCoins := ns.nbrCoins
+	coins := make([]gf2.Coin, deg)
 	if ns.alive {
 		var err error
 		myCoin, err = gf2.NewCoin(ns.p.Fam, ns.psi, ns.p.B, uint64(k1), uint64(len(ns.cands)))
@@ -1328,7 +1002,7 @@ func (ns *nodeState) runPhaseRef(iter, l int) {
 			if !ns.conflict[i] {
 				continue
 			}
-			nbrCoins[i], err = gf2.NewCoin(ns.p.Fam, ns.nbrPsi[i], ns.p.B, ns.nbrK1[i], ns.nbrLen[i])
+			coins[i], err = gf2.NewCoin(ns.p.Fam, ns.nbrPsi[i], ns.p.B, ns.nbrK1[i], ns.nbrLen[i])
 			if err != nil {
 				panic(fmt.Sprintf("core: node %d neighbor coin: %v", ns.ctx.ID(), err))
 			}
@@ -1349,7 +1023,7 @@ func (ns *nodeState) runPhaseRef(iter, l int) {
 					if !bs2.FixBit(j, beta) {
 						panic("core: seed bit re-fix inconsistent")
 					}
-					e := EdgeExpectation(bs2, myCoin, nbrCoins[i],
+					e := EdgeExpectation(bs2, myCoin, coins[i],
 						k1, k0, int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i]))
 					if beta {
 						x1 += e
@@ -1367,7 +1041,7 @@ func (ns *nodeState) runPhaseRef(iter, l int) {
 		seed = seed.WithBit(j, rj)
 	}
 
-	ns.finishPhase(iter, l, bitPos, myCoin, seed)
+	ns.finishPhase(bitPos, myCoin, seed)
 }
 
 // converge aggregates the pair (x0, x1) over all nodes via the BFS tree

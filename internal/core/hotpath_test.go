@@ -97,7 +97,7 @@ func TestPhaseStepAllocFree(t *testing.T) {
 		const b = 9
 		// Cached forms, as nodeState keeps them across phases.
 		myForms := fam.OutputForms(5, b)
-		nbrForms := [][]gf2.Form{
+		edgeForms := [][]gf2.Form{
 			fam.OutputForms(9, b),
 			fam.OutputForms(21, b),
 			fam.OutputForms(33, b),
@@ -110,13 +110,13 @@ func TestPhaseStepAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var nbrCoins []gf2.Coin
-		for i, fs := range nbrForms {
+		var edgeCoins []gf2.Coin
+		for i, fs := range edgeForms {
 			c, err := gf2.NewCoinFromForms(fs, uint64(2+i), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nbrCoins = append(nbrCoins, c)
+			edgeCoins = append(edgeCoins, c)
 		}
 
 		step := func() {
@@ -125,7 +125,7 @@ func TestPhaseStepAllocFree(t *testing.T) {
 				if !ok {
 					t.Fatal("split refused")
 				}
-				for _, cv := range nbrCoins {
+				for _, cv := range edgeCoins {
 					EdgeExpectationSplit(sb, myCoin, cv, 3, 4, 2, 4)
 				}
 				sb.Release()

@@ -230,20 +230,3 @@ func filterByBit(cands []uint32, bitPos int, val bool) []uint32 {
 	}
 	return out
 }
-
-// removeColor deletes color c from the sorted list if present.
-func removeColor(list []uint32, c uint32) []uint32 {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo] == c {
-		return append(list[:lo], list[lo+1:]...)
-	}
-	return list
-}

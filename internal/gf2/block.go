@@ -4,8 +4,8 @@ import "math/bits"
 
 // FormSheet lays the residuals of up to 64 single-word forms out as
 // bit-sliced planes, one lane per form, so the conditional-expectation
-// loop can maintain every residual of a node's owned conflict edges
-// incrementally instead of re-deriving them per seed bit:
+// loop can maintain every coin residual incrementally instead of
+// re-deriving it per seed bit:
 //
 //   - lane[l] is lane l's residual mask (the form's mask minus every
 //     seed bit folded so far);
@@ -27,23 +27,14 @@ import "math/bits"
 // A sheet represents residuals against the *fixed bits* of a basis,
 // which is all a Split result holds, so a sheet folded in step with the
 // split basis gathers exactly the residuals loReduce derives. Sheets
-// hold whatever form groups the caller lays out — the phase loop packs
-// a node's own coin plus the coins of its owned conflict edges'
-// neighbors.
+// hold whatever form groups the caller lays out — the phase hub packs
+// each node's coin once, ⌊64/b⌋ coins to a sheet.
 type FormSheet struct {
 	lane [64]uint64
 	bitp [64]uint64
 	rhs  uint64
 	n    int
 }
-
-// Reset empties the sheet for reuse.
-func (s *FormSheet) Reset() {
-	*s = FormSheet{}
-}
-
-// Free returns the number of unused lanes.
-func (s *FormSheet) Free() int { return 64 - s.n }
 
 // AddForms appends one form group (a coin's forms) as consecutive
 // lanes and returns the first lane. It fails — leaving the sheet
@@ -205,10 +196,11 @@ type walkOp struct {
 }
 
 // WalkOwner records the owner coin cu's joint-walk steps, reading its
-// residuals from a sheet folded in step with this basis (the owner's
-// form group heads every sheet of a node, and all of them hold the same
-// residuals). Preconditions as for ProbOnePairBlock. The walk ends at
-// the threshold's lowest one bit, the last step that adds a term.
+// residuals from a sheet folded in step with this basis. Joint may read
+// each neighbor from a different sheet, as long as every sheet has
+// folded the same bits. Preconditions as for ProbOnePairBlock. The walk
+// ends at the threshold's lowest one bit, the last step that adds a
+// term.
 //
 //sbw:allocfree phase-step kernel: one owner walk per sheeted node per seed bit
 func (sb *SplitBasis) WalkOwner(sheet *FormSheet, cu BlockCoin) *OwnerWalk {

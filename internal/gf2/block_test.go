@@ -104,18 +104,19 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 }
 
 // TestFormSheetBlockMatchesScalar drives the phase hub's exact kernel
-// sequence on production-size coins — lay an owner and its neighbors
-// out on sheets as buildSheets does (every sheet headed by the owner's
-// group, so larger owners spill onto a second sheet), then per seed bit
-// split, fill the neighbors' marginals, walk the owner once, replay the
-// walk for every edge, fix, and fold — and pins every block result
+// sequence on production-size coins — lay every coin out once, as the
+// hub's lane table does (⌊64/b⌋ coins to a sheet in slot order, so an
+// owner and its neighbor often sit on different sheets), then per seed
+// bit split, fill every coin's marginal from its own lanes, walk the
+// owner once, replay the walk for every edge against the neighbor's
+// sheet, fix, and fold every sheet — and pins every block result
 // bitwise against the two-word EdgePair walk on the same coins under
 // the same basis. Field degrees reach 13 and list sizes 3..20, so
 // thresholds k1·2^b/|L| are not multiples of large powers of two and
 // the walks run long, as the hub's do at B = 8–13.
 func TestFormSheetBlockMatchesScalar(t *testing.T) {
 	src := prng.New(777)
-	spilled := 0
+	edges, cross := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		m := 3 + src.Intn(11)
 		fam := MustFamily(m, 2)
@@ -125,74 +126,68 @@ func TestFormSheetBlockMatchesScalar(t *testing.T) {
 		if b < 1 || src.Intn(5) == 0 {
 			b = 1 + src.Intn(m)
 		}
-		coin := func(x uint64) (Coin, []Form) {
-			forms := fam.OutputForms(x, b)
+		// Slot s's coin is lanes (s mod per)·b.. of sheet s/per. The owner
+		// takes a random slot, its neighbors all the others.
+		per := 64 / b
+		n := 2 + src.Intn(20)
+		coins := make([]Coin, n)
+		at := make([]BlockCoin, n)
+		sheets := make([]FormSheet, (n+per-1)/per)
+		for s := range coins {
+			forms := fam.OutputForms(src.Uint64()&(order-1), b)
 			lists := 3 + src.Intn(18)
 			c, err := NewCoinFromForms(forms, uint64(src.Intn(lists+1)), uint64(lists))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c, forms
-		}
-		own, ownForms := coin(src.Uint64() & (order - 1))
-		nNbr := 1 + src.Intn(12)
-		nbrs := make([]Coin, nNbr)
-		var sheets []*FormSheet
-		ownOn := make([]BlockCoin, 0, 2) // the owner's group on each sheet
-		sheetOf := make([]int, nNbr)
-		cvs := make([]BlockCoin, nNbr)
-		for i := range nbrs {
-			var forms []Form
-			nbrs[i], forms = coin(src.Uint64() & (order - 1))
-			if len(sheets) == 0 || sheets[len(sheets)-1].Free() < len(forms) {
-				sh := new(FormSheet)
-				lane, ok := sh.AddForms(ownForms)
-				if !ok {
-					t.Fatal("AddForms refused the owner on a fresh sheet")
-				}
-				sheets = append(sheets, sh)
-				ownOn = append(ownOn, BlockCoin{Lane: lane, B: own.Bits(), T: own.Threshold()})
+			lane, ok := sheets[s/per].AddForms(forms)
+			if !ok || lane != s%per*b {
+				t.Fatalf("trial %d: slot %d laid at lane %d (ok %v), want %d", trial, s, lane, ok, s%per*b)
 			}
-			sh := sheets[len(sheets)-1]
-			lane, ok := sh.AddForms(forms)
-			if !ok {
-				t.Fatalf("trial %d: AddForms refused %d forms with %d free lanes", trial, len(forms), sh.Free())
+			coins[s] = c
+			at[s] = BlockCoin{Lane: lane, B: b, T: c.Threshold()}
+		}
+		for k := range sheets {
+			sheets[k].Seal()
+		}
+		owner := src.Intn(n)
+		edges += n - 1
+		for s := range coins {
+			if s/per != owner/per {
+				cross++
 			}
-			sheetOf[i] = len(sheets) - 1
-			cvs[i] = BlockCoin{Lane: lane, B: nbrs[i].Bits(), T: nbrs[i].Threshold()}
-		}
-		if len(sheets) > 1 {
-			spilled++
-		}
-		for _, sh := range sheets {
-			sh.Seal()
 		}
 
 		bs := NewBasis()
-		var pv, pu [1]ProbPair
+		marg := make([]ProbPair, n)
 		for j := 0; j < d; j++ {
 			sb, ok := bs.Split(j)
 			if !ok {
 				t.Fatalf("trial %d: Split(%d) refused on the phase basis", trial, j)
 			}
-			// The owner's walk reads sheet 0, whatever sheet its edge is on.
-			ow := sb.WalkOwner(sheets[0], ownOn[0])
-			for i := range nbrs {
-				sh := sheets[sheetOf[i]]
-				w1u0, w1v0, w110, w1u1, w1v1, w111 := sb.EdgePair(own, nbrs[i])
-				sb.ProbOnePairBlock(sh, []BlockCoin{cvs[i]}, pv[:])
-				if pv[0].P0 != w1v0 || pv[0].P1 != w1v1 {
-					t.Fatalf("trial %d bit %d nbr %d: ProbOnePairBlock (%v %v), EdgePair (%v %v)",
-						trial, j, i, pv[0].P0, pv[0].P1, w1v0, w1v1)
+			for s := range coins {
+				sb.ProbOnePairBlock(&sheets[s/per], at[s:s+1], marg[s:s+1])
+			}
+			ow := sb.WalkOwner(&sheets[owner/per], at[owner])
+			if g := ow.Marginal(); g != marg[owner] {
+				t.Fatalf("trial %d bit %d: owner walk marginal %v, ProbOnePairBlock %v", trial, j, g, marg[owner])
+			}
+			for s := range coins {
+				if s == owner {
+					continue
 				}
-				sb.ProbOnePairBlock(sh, []BlockCoin{ownOn[sheetOf[i]]}, pu[:])
-				if g := ow.Marginal(); g.P0 != w1u0 || g.P1 != w1u1 || pu[0] != g {
-					t.Fatalf("trial %d bit %d nbr %d: owner marginal %v, on the edge's sheet %v, EdgePair (%v %v)",
-						trial, j, i, g, pu[0], w1u0, w1u1)
+				w1u0, w1v0, w110, w1u1, w1v1, w111 := sb.EdgePair(coins[owner], coins[s])
+				if pv := marg[s]; pv.P0 != w1v0 || pv.P1 != w1v1 {
+					t.Fatalf("trial %d bit %d slot %d: ProbOnePairBlock (%v %v), EdgePair (%v %v)",
+						trial, j, s, pv.P0, pv.P1, w1v0, w1v1)
 				}
-				if g := ow.Joint(sh, cvs[i], pv[0]); g.P0 != w110 || g.P1 != w111 {
-					t.Fatalf("trial %d bit %d nbr %d (sheet %d): Joint (%v %v), EdgePair (%v %v)",
-						trial, j, i, sheetOf[i], g.P0, g.P1, w110, w111)
+				if g := ow.Marginal(); g.P0 != w1u0 || g.P1 != w1u1 {
+					t.Fatalf("trial %d bit %d slot %d: owner marginal %v, EdgePair (%v %v)",
+						trial, j, s, g, w1u0, w1u1)
+				}
+				if g := ow.Joint(&sheets[s/per], at[s], marg[s]); g.P0 != w110 || g.P1 != w111 {
+					t.Fatalf("trial %d bit %d slot %d (sheet %d, owner's %d): Joint (%v %v), EdgePair (%v %v)",
+						trial, j, s, s/per, owner/per, g.P0, g.P1, w110, w111)
 				}
 			}
 			sb.Release()
@@ -200,12 +195,12 @@ func TestFormSheetBlockMatchesScalar(t *testing.T) {
 			if !bs.FixBit(j, rj) {
 				t.Fatalf("trial %d: FixBit(%d) refused", trial, j)
 			}
-			for _, sh := range sheets {
-				sh.Fix(j, rj)
+			for k := range sheets {
+				sheets[k].Fix(j, rj)
 			}
 		}
 	}
-	if spilled < 30 {
-		t.Errorf("only %d of 300 owners spanned two sheets", spilled)
+	if cross*4 < edges {
+		t.Errorf("only %d of %d edges read their neighbor from another sheet", cross, edges)
 	}
 }

@@ -123,6 +123,16 @@ func SortedRemove(a []int32, x int) []int32 {
 	return a
 }
 
+// RemoveColor deletes color c from a color list if present, preserving
+// order. The list must be strictly sorted, as Instance.Validate requires
+// of every list and as every order-preserving edit of one leaves it.
+func RemoveColor(list []uint32, c uint32) []uint32 {
+	if i, ok := slices.BinarySearch(list, c); ok {
+		return append(list[:i], list[i+1:]...)
+	}
+	return list
+}
+
 // Builder accumulates edges and produces an immutable Graph. Duplicate
 // edges and self-loops are rejected at AddEdge time.
 //

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +141,30 @@ func TestVerifyColoringErrors(t *testing.T) {
 	// Valid coloring passes.
 	if err := inst.VerifyColoring([]uint32{0, 1, 0}); err != nil {
 		t.Errorf("valid coloring rejected: %v", err)
+	}
+}
+
+// TestRemoveColor: RemoveColor deletes a present color wherever it sits
+// in the sorted list, shifting the tail in place, and returns a list
+// without the color unchanged.
+func TestRemoveColor(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    uint32
+		want []uint32
+	}{
+		{"present", 5, []uint32{1, 3, 8, 13}},
+		{"absent", 4, []uint32{1, 3, 5, 8, 13}},
+		{"first", 1, []uint32{3, 5, 8, 13}},
+		{"last", 13, []uint32{1, 3, 5, 8}},
+	} {
+		list := []uint32{1, 3, 5, 8, 13}
+		got := RemoveColor(list, tc.c)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: RemoveColor(%v, %d) = %v, want %v", tc.name, []uint32{1, 3, 5, 8, 13}, tc.c, got, tc.want)
+		}
+		if &got[0] != &list[0] {
+			t.Errorf("%s: RemoveColor copied the list instead of editing it in place", tc.name)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 	s := opts.S
 	if s == 0 {
 		if opts.Sublinear {
-			s = max(int(8*pow(float64(n), opts.Alpha)), 64)
+			s = max(int(8*math.Pow(float64(n), opts.Alpha)), 64)
 		} else {
 			// Θ(n) with a constant that fits a Δ = n−1 node's edges and
 			// list (≈ 9n words) plus slack.
@@ -214,11 +214,10 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 		// once it fits (≈ the n/Δ² point of Theorem 1.4's proof).
 		if !opts.Sublinear {
 			residual := 0
-			for v, nd := range nodes {
+			for _, nd := range nodes {
 				if nd.alive {
 					residual += 3 * (len(nd.aliveNbr) + len(nd.list))
 				}
-				_ = v
 			}
 			if residual <= rt.S/2 {
 				io := rt.UniformIO(0)
@@ -350,9 +349,8 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 
 		// MIS-free keep step (1 exchange round) and announcement with
 		// list updates via set difference (constant rounds, Lemma 5.1).
-		for v, nd := range nodes {
+		for _, nd := range nodes {
 			nd.phi = len(nd.conflict)
-			_ = v
 		}
 		if err := rt.ChargeRound(conflictEdgeIO()); err != nil {
 			return nil, err
@@ -381,7 +379,7 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 					other := nodes[w]
 					other.aliveNbr = graph.SortedRemove(other.aliveNbr, v)
 					if !other.colored {
-						other.list = removeColor(other.list, nd.color)
+						other.list = graph.RemoveColor(other.list, nd.color)
 					}
 				}
 			}
@@ -522,29 +520,4 @@ func filterBit(cands []uint32, bitPos int, val bool) []uint32 {
 		}
 	}
 	return out
-}
-
-func removeColor(list []uint32, c uint32) []uint32 {
-	for i, x := range list {
-		if x == c {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

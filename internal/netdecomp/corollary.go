@@ -133,7 +133,7 @@ func listColorDecomposed(inst *graph.Instance, opts core.Options, batched bool, 
 				}
 				for _, w := range inst.G.Neighbors(v) {
 					if colored[w] && d.Clusters[d.ClusterOf[int(w)]].Color == class {
-						lists[v] = removeColor(lists[v], colors[w])
+						lists[v] = graph.RemoveColor(lists[v], colors[w])
 					}
 				}
 			}
@@ -226,20 +226,4 @@ func runClassSequential(inst *graph.Instance, d *Decomposition, class int, lists
 		}
 	}
 	return total, nil
-}
-
-func removeColor(list []uint32, c uint32) []uint32 {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo] == c {
-		return append(list[:lo], list[lo+1:]...)
-	}
-	return list
 }

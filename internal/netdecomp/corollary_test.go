@@ -72,7 +72,7 @@ func TestIdleDeepClustersNotCharged(t *testing.T) {
 // TestDecomposedListsNotAliased asserts the caller's inst.Lists survive a
 // full Corollary 1.2 run byte-identical: per-class sub-instances copy the
 // working lists at the boundary instead of sharing backing arrays with
-// the in-place-shifting removeColor.
+// the in-place-shifting graph.RemoveColor.
 func TestDecomposedListsNotAliased(t *testing.T) {
 	g := graph.Barbell(5, 16)
 	inst, err := graph.RandomListInstance(g, 64, 1, 3)
