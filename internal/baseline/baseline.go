@@ -11,7 +11,6 @@ package baseline
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"smallbandwidth/internal/congest"
 	"smallbandwidth/internal/core"
@@ -44,7 +43,6 @@ func RandomizedCONGEST(inst *graph.Instance, seed uint64) (*RandResult, error) {
 	}
 	n := inst.G.N()
 	colors := make([]uint32, n)
-	var mu sync.Mutex
 	maxRounds := 64 * (bits.Len(uint(n)) + 4)
 
 	stats, err := congest.Run(inst.G, congest.Config{}, func(ctx *congest.Ctx) {
@@ -103,9 +101,7 @@ func RandomizedCONGEST(inst *graph.Instance, seed uint64) (*RandResult, error) {
 			panic(fmt.Sprintf("baseline: node %d uncolored after %d rounds (astronomically unlikely)",
 				ctx.ID(), maxRounds))
 		}
-		mu.Lock()
-		colors[ctx.ID()] = myColor
-		mu.Unlock()
+		colors[ctx.ID()] = myColor // each node writes only its own entry
 	})
 	if err != nil {
 		return nil, err

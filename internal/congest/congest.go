@@ -4,10 +4,12 @@
 // node may send one message of O(log n) bits over each incident edge and
 // perform arbitrary local computation.
 //
-// Node programs are ordinary blocking Go functions — one goroutine per
-// node — that call Ctx.Send to queue messages and Ctx.Next to end the
-// current round (a barrier) and receive the messages delivered for the
-// next one. The simulator:
+// Node programs are ordinary blocking Go functions that call Ctx.Send to
+// queue messages and Ctx.Next to end the current round and receive the
+// messages delivered for the next one. Each program runs as a coroutine
+// the engine resumes round by round, so it may wait on another node only
+// through the round calls (Next, SkipUntil, NextDelivery, and the
+// helpers built on them here). The simulator:
 //
 //   - enforces the bandwidth cap (messages wider than MaxWords are a
 //     protocol violation and abort the run with an error);
@@ -23,7 +25,7 @@
 // The package is a thin adapter over the shared sharded round engine
 // (internal/engine), which the CONGESTED CLIQUE and MPC simulators run
 // on as well: the communication graph is the engine's Topology, and the
-// atomic barrier, receiver-sharded parallel delivery, double-buffered
+// coroutine round loop, receiver-sharded parallel delivery, the per-node
 // inboxes, and dirty-edge skipping all live in the engine — one copy of
 // the hot path for all three models. Stats are bit-for-bit independent
 // of the engine's worker count.
@@ -45,12 +47,12 @@ type Incoming = engine.Incoming
 type Stats = engine.Stats
 
 // Ctx is a node's handle to the simulation. All methods must be called
-// only from that node's own goroutine.
+// only from that node's own program.
 type Ctx = engine.Ctx
 
 // Checkpoint/restore types, shared with the engine: a Checkpointer
-// attached to a run collects consistent per-domain cuts at the round
-// barriers in which every node committed its state (Ctx.Commit), and a
+// attached to a run collects consistent per-domain cuts between the
+// rounds in which every node committed its state (Ctx.Commit), and a
 // RunSnapshot restores a run from such cuts. A resumed node program
 // decodes its own committed blob from the snapshot (DomainCut.Nodes).
 type (
@@ -63,25 +65,9 @@ type (
 	DomainCut = engine.DomainCut
 )
 
-// Config controls the simulation.
-type Config struct {
-	// MaxWords is the bandwidth cap per edge per direction per round, in
-	// 64-bit words. Zero means the default of 4 words (≈ 4·64 bits, a
-	// constant number of O(log n)-bit words).
-	MaxWords int
-	// MaxRounds aborts runs that exceed this many rounds (default 1<<22),
-	// turning protocol livelocks into test failures instead of hangs.
-	MaxRounds int
-	// Workers bounds the engine's delivery/compute parallelism: 0 sizes
-	// the worker pool from GOMAXPROCS, n > 0 caps it at n shards. Stats
-	// and protocol outcomes are bit-identical for every setting.
-	Workers int
-	// Checkpoint, when non-nil, collects consistent cuts of the run.
-	Checkpoint *Checkpointer
-	// Resume, when non-nil, restores the run from a snapshot before any
-	// node program starts.
-	Resume *RunSnapshot
-}
+// Config controls the simulation: the bandwidth cap, the round cap,
+// the worker bound, and checkpoint/resume (see engine.Config).
+type Config = engine.Config
 
 // DomainStats is one connected component's share of a run's Stats.
 type DomainStats = engine.DomainStats
@@ -101,14 +87,7 @@ func Run(g *graph.Graph, cfg Config, program func(ctx *Ctx)) (*Stats, error) {
 // RunWithDomains is Run, additionally reporting each connected
 // component's own Stats (ordered by smallest member).
 func RunWithDomains(g *graph.Graph, cfg Config, program func(ctx *Ctx)) (*Stats, []DomainStats, error) {
-	return engine.RunWithDomains(g, engine.Config{
-		Model:      "congest",
-		MaxWords:   cfg.MaxWords,
-		MaxRounds:  cfg.MaxRounds,
-		Workers:    cfg.Workers,
-		Checkpoint: cfg.Checkpoint,
-		Resume:     cfg.Resume,
-	}, program)
+	return engine.RunWithDomains(g, cfg, program)
 }
 
 // DeliveryShards reports how many delivery shards the engine cuts an

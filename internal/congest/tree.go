@@ -33,7 +33,7 @@ type Tree struct {
 	// leaves, Height at the root). It makes the aggregation schedule
 	// locally computable: in ConvergeSumLockstepTo all child sums have
 	// arrived by start+SubtreeHeight, so the wait can be a single engine
-	// sleep instead of one barrier per round.
+	// sleep instead of one resumption per round.
 	SubtreeHeight int
 
 	// Reusable ConvergeSumLockstepTo scratch (see that function): the
@@ -51,8 +51,8 @@ type Tree struct {
 // lockstep schedule guarantees its receiver consumed (and flipped past)
 // the payload: every payload of one aggregation is read by round
 // start+Height+maxDepth, and the lockstep contract makes the next call
-// start at or after that round, with the engine barrier ordering the
-// old read before the new write.
+// start at or after that round, with the engine's round loop ordering
+// the old read before the new write.
 func (t *Tree) convMsg(n int) Message {
 	if t.convNext == len(t.convMsgs) {
 		t.convMsgs = append(t.convMsgs, make([]uint64, 0, n))
@@ -112,7 +112,7 @@ func BuildBFSTree(ctx *Ctx, root int) *Tree {
 	// The build is event-driven: everything a node does reacts to a
 	// received message, so the waits (for the adoption wave, the child
 	// reports, the completion downcast) run as engine sleeps
-	// (NextDelivery) instead of one barrier per round. The one
+	// (NextDelivery) instead of one resumption per round. The one
 	// round-driven action — the report deferred by one round because the
 	// adopt wave just used the parent edge — forces a single plain Next.
 	deferredReport := false
@@ -209,8 +209,8 @@ func BuildBFSTree(ctx *Ctx, root int) *Tree {
 //     start+Height+d, and each node forwards it on arrival.
 //
 // One call therefore costs 2(Size−1) messages of len(vec)+2 words. The
-// waits run as single engine sleeps (SkipUntil) instead of one barrier
-// wake-up per round, and a childless node fuses its wait for the total
+// waits run as single engine sleeps (SkipUntil) instead of one
+// resumption per round, and a childless node fuses its wait for the total
 // with the trailing sleep to until. A violated contract surfaces as a
 // protocol panic, not a wrong sum.
 //
@@ -306,9 +306,8 @@ func ConvergeSumLockstepTo(ctx *Ctx, t *Tree, op uint64, vec []float64, until in
 
 // spinUntil advances rounds (delivering nothing) until the given absolute
 // round, re-establishing lockstep after a message-driven phase. The spin
-// is a single engine sleep (SkipUntil): the node leaves the barrier
-// population and the skipped rounds advance — and are counted — without
-// waking it. Receiving anything while spinning indicates a protocol bug.
+// is a single engine sleep (SkipUntil): the node parks and the skipped
+// rounds advance — and are counted — without resuming it. Receiving anything while spinning indicates a protocol bug.
 func spinUntil(ctx *Ctx, round int) {
 	if in := ctx.SkipUntil(round); len(in) != 0 {
 		panic(fmt.Sprintf("congest: node %d received %d messages while resynchronizing",

@@ -90,9 +90,13 @@ import (
 // whole iteration (sleepIteration), and its slot contributes a zero
 // pair and does no band work. The arrival that reaches the component's
 // alive count — the iteration-top converge's total, known to every
-// node — coordinates (any alive node; the choice is unobservable),
-// everyone else parks in SpinUntil, and the engine's release-channel
-// chain orders the coordinator's writes before every sleeper's reads.
+// node — coordinates (any alive node; the choice is unobservable), and
+// everyone else parks in SpinUntil. The coordinator waits only on its
+// own band goroutines, never on another node, as the engine requires of
+// a node program outside its round calls. The sleepers run again only
+// in a later round, after the coordinator has parked too, so the
+// engine's coroutine switches and its round loop order the
+// coordinator's writes before every sleeper's reads.
 // No commit happens inside the segment, so checkpoint cuts — taken
 // only at iteration tops — see the same committed states and the same
 // staged stats as the distributed run.

@@ -318,29 +318,15 @@ func ListColorFromCheckpoint(cp *Checkpoint, ck *congest.Checkpointer) (*Result,
 // is canonical: decoding a checkpoint and re-encoding it reproduces the
 // bytes exactly, which the golden-file test pins for format v1.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	var meta snapshot.Enc
-	meta.Blob([]byte(checkpointModel))
-	meta.Uvarint(uint64(cp.Opts.MaxWords))
-	meta.Uvarint(uint64(cp.Opts.MaxRounds))
-	meta.Uvarint(uint64(cp.Opts.MaxIterations))
-	meta.Bool(cp.Opts.HighAccuracy)
-	var g snapshot.Enc
-	snapshot.EncodeGraph(&g, cp.Inst.G)
-	var lists snapshot.Enc
-	snapshot.EncodeLists(&lists, cp.Inst.C, cp.Inst.Lists)
 	var eng snapshot.Enc
 	snapshot.EncodeRunSnapshot(&eng, cp.Snap)
 	var rng snapshot.Enc
 	rng.Uvarint(0)
 	return snapshot.Encode(&snapshot.Container{
 		Version: snapshot.Version,
-		Sections: []snapshot.Section{
-			{ID: snapshot.SecMeta, Data: meta.Bytes()},
-			{ID: snapshot.SecGraph, Data: g.Bytes()},
-			{ID: snapshot.SecLists, Data: lists.Bytes()},
-			{ID: snapshot.SecEngine, Data: eng.Bytes()},
-			{ID: snapshot.SecRNG, Data: rng.Bytes()},
-		},
+		Sections: append(EncodeCheckpointHeader(checkpointModel, cp.Inst, cp.Opts),
+			snapshot.Section{ID: snapshot.SecEngine, Data: eng.Bytes()},
+			snapshot.Section{ID: snapshot.SecRNG, Data: rng.Bytes()}),
 	})
 }
 
@@ -352,68 +338,11 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	section := func(id uint32, name string) (*snapshot.Dec, error) {
-		data := c.Find(id)
-		if data == nil {
-			return nil, fmt.Errorf("core: checkpoint lacks its %s section", name)
-		}
-		return snapshot.NewDec(data), nil
-	}
-
-	md, err := section(snapshot.SecMeta, "meta")
+	inst, opts, err := DecodeCheckpointHeader(c, checkpointModel, "core")
 	if err != nil {
 		return nil, err
 	}
-	model := string(md.Blob())
-	maxWords := md.Uvarint()
-	maxRounds := md.Uvarint()
-	maxIter := md.Uvarint()
-	high := md.Bool()
-	if err := md.Close(); err != nil {
-		return nil, err
-	}
-	if model != checkpointModel {
-		return nil, fmt.Errorf("core: checkpoint fingerprint %q, this decoder reads %q", model, checkpointModel)
-	}
-	if maxWords > math.MaxInt32 || maxRounds > math.MaxInt32 || maxIter > math.MaxInt32 {
-		return nil, errors.New("core: checkpoint option fields out of range")
-	}
-	opts := Options{
-		MaxWords:      int(maxWords),
-		MaxRounds:     int(maxRounds),
-		MaxIterations: int(maxIter),
-		HighAccuracy:  high,
-	}
-
-	gd, err := section(snapshot.SecGraph, "graph")
-	if err != nil {
-		return nil, err
-	}
-	g, err := snapshot.DecodeGraph(gd)
-	if err != nil {
-		return nil, err
-	}
-	if err := gd.Close(); err != nil {
-		return nil, err
-	}
-
-	ld, err := section(snapshot.SecLists, "lists")
-	if err != nil {
-		return nil, err
-	}
-	cc, lists, err := snapshot.DecodeLists(ld)
-	if err != nil {
-		return nil, err
-	}
-	if err := ld.Close(); err != nil {
-		return nil, err
-	}
-	inst := &graph.Instance{G: g, C: cc, Lists: lists}
-	if err := inst.Validate(); err != nil {
-		return nil, fmt.Errorf("core: checkpoint instance invalid: %w", err)
-	}
-
-	ed, err := section(snapshot.SecEngine, "engine")
+	ed, err := checkpointSection(c, snapshot.SecEngine, "core", "engine")
 	if err != nil {
 		return nil, err
 	}
@@ -425,4 +354,97 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	return &Checkpoint{Inst: inst, Opts: opts, Snap: snap}, nil
+}
+
+// EncodeCheckpointHeader returns the sections every checkpoint of a
+// coloring run opens with, whatever the algorithm after them: the meta
+// section (the algorithm's fingerprint and the options MaxWords,
+// MaxRounds, MaxIterations and HighAccuracy), the CSR graph dump, and
+// the original color lists.
+func EncodeCheckpointHeader(fingerprint string, inst *graph.Instance, opts Options) []snapshot.Section {
+	var meta snapshot.Enc
+	meta.Blob([]byte(fingerprint))
+	meta.Uvarint(uint64(opts.MaxWords))
+	meta.Uvarint(uint64(opts.MaxRounds))
+	meta.Uvarint(uint64(opts.MaxIterations))
+	meta.Bool(opts.HighAccuracy)
+	var g snapshot.Enc
+	snapshot.EncodeGraph(&g, inst.G)
+	var lists snapshot.Enc
+	snapshot.EncodeLists(&lists, inst.C, inst.Lists)
+	return []snapshot.Section{
+		{ID: snapshot.SecMeta, Data: meta.Bytes()},
+		{ID: snapshot.SecGraph, Data: g.Bytes()},
+		{ID: snapshot.SecLists, Data: lists.Bytes()},
+	}
+}
+
+// DecodeCheckpointHeader reads back what EncodeCheckpointHeader wrote: it
+// refuses a fingerprint other than the given one and out-of-range
+// options, and revalidates the instance. Errors start with prefix, the
+// decoding package's name.
+func DecodeCheckpointHeader(c *snapshot.Container, fingerprint, prefix string) (*graph.Instance, Options, error) {
+	md, err := checkpointSection(c, snapshot.SecMeta, prefix, "meta")
+	if err != nil {
+		return nil, Options{}, err
+	}
+	model := string(md.Blob())
+	maxWords := md.Uvarint()
+	maxRounds := md.Uvarint()
+	maxIter := md.Uvarint()
+	high := md.Bool()
+	if err := md.Close(); err != nil {
+		return nil, Options{}, err
+	}
+	if model != fingerprint {
+		return nil, Options{}, fmt.Errorf("%s: checkpoint fingerprint %q, this decoder reads %q", prefix, model, fingerprint)
+	}
+	if maxWords > math.MaxInt32 || maxRounds > math.MaxInt32 || maxIter > math.MaxInt32 {
+		return nil, Options{}, fmt.Errorf("%s: checkpoint option fields out of range", prefix)
+	}
+	opts := Options{
+		MaxWords:      int(maxWords),
+		MaxRounds:     int(maxRounds),
+		MaxIterations: int(maxIter),
+		HighAccuracy:  high,
+	}
+
+	gd, err := checkpointSection(c, snapshot.SecGraph, prefix, "graph")
+	if err != nil {
+		return nil, Options{}, err
+	}
+	g, err := snapshot.DecodeGraph(gd)
+	if err != nil {
+		return nil, Options{}, err
+	}
+	if err := gd.Close(); err != nil {
+		return nil, Options{}, err
+	}
+
+	ld, err := checkpointSection(c, snapshot.SecLists, prefix, "lists")
+	if err != nil {
+		return nil, Options{}, err
+	}
+	cc, lists, err := snapshot.DecodeLists(ld)
+	if err != nil {
+		return nil, Options{}, err
+	}
+	if err := ld.Close(); err != nil {
+		return nil, Options{}, err
+	}
+	inst := &graph.Instance{G: g, C: cc, Lists: lists}
+	if err := inst.Validate(); err != nil {
+		return nil, Options{}, fmt.Errorf("%s: checkpoint instance invalid: %w", prefix, err)
+	}
+	return inst, opts, nil
+}
+
+// checkpointSection returns a decoder over section id of c, or an error
+// naming the missing section.
+func checkpointSection(c *snapshot.Container, id uint32, prefix, name string) (*snapshot.Dec, error) {
+	data := c.Find(id)
+	if data == nil {
+		return nil, fmt.Errorf("%s: checkpoint lacks its %s section", prefix, name)
+	}
+	return snapshot.NewDec(data), nil
 }

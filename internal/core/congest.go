@@ -440,7 +440,7 @@ type nodeState struct {
 	// during round r+1 — possibly while the sender is already writing
 	// its round-r+1 messages — so consecutive rounds must not share
 	// buffers. With two arenas a buffer is rewritten no earlier than
-	// round r+2, by when the engine's barrier ordering guarantees the
+	// round r+2, by when the engine's round loop guarantees the
 	// round-r+1 read has happened-before the write.
 	//
 	// So an arena payload must be read in the round after it was sent.

@@ -1,31 +1,28 @@
-// Checkpoint/restore of engine runs at round barriers.
+// Checkpoint/restore of engine runs between rounds.
 //
-// The engine cannot serialize a blocked goroutine's stack, so a cut is a
+// The engine cannot serialize a parked coroutine's stack, so a cut is a
 // contract between the engine and the node program: the program calls
 // Ctx.Commit(blob) at the top of a round — after consuming everything
 // Next (or SkipUntil/NextDelivery) handed it, before sending anything in
 // that round — handing the engine an opaque encoding of its full
-// protocol state. The engine supplies the other half of the cut: at the
-// barrier entering round R it stages the post-delivery queue backlog and
-// the Stats as of R (both leader-only, single-threaded), and at the
-// barrier leaving R it checks whether every live node of the domain
-// committed at exactly R. If so, blobs + staged backlog + staged Stats
-// form a consistent cut: every message a blob has "seen" is out of the
-// queues, every message still in a queue is in the cut, and
+// protocol state. The engine supplies the other half of the cut: on
+// entering round R it stages the post-delivery queue backlog and the
+// Stats as of R (both read by the domain goroutine with every node
+// parked), and on leaving R it checks whether every live node of the
+// domain committed at exactly R. If so, blobs + staged backlog + staged
+// Stats form a consistent cut: every message a blob has "seen" is out of
+// the queues, every message still in a queue is in the cut, and
 // Stats.Rounds == R. Resuming restores the round counter, Stats and
 // queue backlog, and the program rebuilds each node's state from the
 // node's blob in the snapshot — the continuation is bit-identical to the
 // uninterrupted run because the engine is deterministic and the cut
 // captured its entire state.
 //
-// Round barriers are consistent cuts precisely because the engine is a
-// lockstep barrier machine: at a barrier no node is mid-round, delivery
-// has fully drained (the leader runs it single-threaded before anyone
-// wakes), and the only in-flight state is the queued backlog the cut
-// records. While a Checkpointer is attached the leader delivers inline
-// even on multi-shard pools; by the engine's worker-count-independence
-// invariant this changes nothing observable, and it makes every barrier
-// a quiescent point where the leader may read all queues without locks.
+// The point between two rounds is a consistent cut precisely because
+// the engine is a lockstep round machine: there no node is mid-round,
+// delivery has fully drained (every delivery pass finishes before any
+// node resumes), and the only in-flight state is the queued backlog the
+// cut records. The domain goroutine reads all of it without locks.
 package engine
 
 import (
@@ -54,9 +51,9 @@ type QueueCut struct {
 }
 
 // DomainCut is a consistent cut of one lockstep domain (connected
-// component) at the barrier entering round Round: every node's committed
-// blob, the undelivered queue backlog, and the domain's Stats as of that
-// barrier (Stats.Rounds == Round always). Final marks the domain-end
+// component) on entering round Round: every node's committed blob, the
+// undelivered queue backlog, and the domain's Stats as of that point
+// (Stats.Rounds == Round always). Final marks the domain-end
 // cut taken after every node finished with CommitFinal; a final cut has
 // no queues and its Stats are the domain's final Stats.
 type DomainCut struct {
@@ -87,7 +84,7 @@ type Checkpointer struct {
 	// enabling At() sweeps over all checkpoint rounds.
 	KeepAll bool
 	// OnCut, when non-nil, observes each cut as it is taken. Calls are
-	// serialized, but may come from any domain's leader goroutine; the
+	// serialized, but may come from any domain's goroutine; the
 	// callback must not block on the run's own progress. The cut and its
 	// contents are immutable.
 	OnCut func(*DomainCut)
@@ -136,7 +133,7 @@ func (ck *Checkpointer) Latest() *RunSnapshot {
 	return snap
 }
 
-// At assembles the snapshot a crash after the barrier of round k would
+// At assembles the snapshot a crash after entering round k would
 // restore: for every domain, its latest cut with Round ≤ k. Domains with
 // no such cut are omitted and resume from scratch. Requires KeepAll for
 // rounds older than each domain's latest cut. Returns a (possibly empty)
@@ -235,11 +232,11 @@ func (c *Ctx) CommitFinal(blob []byte) {
 	c.commitDone = true
 }
 
-// stageCut snapshots the leader-side half of a potential cut at the
-// barrier entering round r.round, after delivery and before any node
-// wakes: the Stats as of this barrier (base counters plus the quiescent
-// worker counters, merged non-destructively into a copy) and the
-// undelivered queue backlog. Leader-only; all senders are parked.
+// stageCut snapshots the engine's half of a potential cut on entering
+// round r.round, after delivery and before any node resumes: the Stats
+// as of this point (base counters plus the quiescent worker counters,
+// merged non-destructively into a copy) and the undelivered queue
+// backlog. Domain goroutine only; every node is parked.
 func (r *runner) stageCut() {
 	r.stagedValid = true
 	r.stagedRound = r.round
@@ -284,10 +281,10 @@ func (r *runner) captureQueues() []QueueCut {
 	return cuts
 }
 
-// tryFinalizeCut runs at the entry of completeRound — the barrier
-// leaving round r.round, with every node parked — and records a cut when
-// the staged state is for this round and every node of the domain either
-// finished or committed in exactly this round. Rounds in which at least
+// tryFinalizeCut runs on leaving round r.round, once every node that
+// ran in it has parked or finished, and records a cut when the staged
+// state is for this round and every node of the domain either finished
+// or committed in exactly this round. Rounds in which at least
 // one live node did not commit (it was mid-phase, or sleeping across the
 // round) yield no cut; rounds in which the last nodes finished are
 // covered by the domain-end final cut instead, whose Stats include the
@@ -354,47 +351,47 @@ func (r *runner) finalCut() {
 // capped widths). A final cut must have no queues.
 func validateCut(cut *DomainCut, comp []int32, degreeOf func(int) int32, cfg Config) error {
 	if cut.Round < 0 {
-		return fmt.Errorf("%s: resume: domain %d cut has negative round %d", cfg.Model, cut.Root, cut.Round)
+		return fmt.Errorf("%s: resume: domain %d cut has negative round %d", model, cut.Root, cut.Round)
 	}
 	if cut.Stats.Rounds != cut.Round {
-		return fmt.Errorf("%s: resume: domain %d cut Stats.Rounds=%d != Round=%d", cfg.Model, cut.Root, cut.Stats.Rounds, cut.Round)
+		return fmt.Errorf("%s: resume: domain %d cut Stats.Rounds=%d != Round=%d", model, cut.Root, cut.Stats.Rounds, cut.Round)
 	}
 	if len(cut.Nodes) != len(comp) {
-		return fmt.Errorf("%s: resume: domain %d cut has %d nodes, component has %d", cfg.Model, cut.Root, len(cut.Nodes), len(comp))
+		return fmt.Errorf("%s: resume: domain %d cut has %d nodes, component has %d", model, cut.Root, len(cut.Nodes), len(comp))
 	}
 	allDone := true
 	for i, nc := range cut.Nodes {
 		if nc.ID != comp[i] {
-			return fmt.Errorf("%s: resume: domain %d cut node %d is %d, component has %d", cfg.Model, cut.Root, i, nc.ID, comp[i])
+			return fmt.Errorf("%s: resume: domain %d cut node %d is %d, component has %d", model, cut.Root, i, nc.ID, comp[i])
 		}
 		if !nc.Done {
 			allDone = false
 		}
 	}
 	if allDone && !cut.Final {
-		return fmt.Errorf("%s: resume: domain %d cut has every node done but is not final", cfg.Model, cut.Root)
+		return fmt.Errorf("%s: resume: domain %d cut has every node done but is not final", model, cut.Root)
 	}
 	if cut.Final {
 		if !allDone {
-			return fmt.Errorf("%s: resume: domain %d final cut has unfinished nodes", cfg.Model, cut.Root)
+			return fmt.Errorf("%s: resume: domain %d final cut has unfinished nodes", model, cut.Root)
 		}
 		if len(cut.Queues) != 0 {
-			return fmt.Errorf("%s: resume: domain %d final cut has queued messages", cfg.Model, cut.Root)
+			return fmt.Errorf("%s: resume: domain %d final cut has queued messages", model, cut.Root)
 		}
 	}
 	for _, qc := range cut.Queues {
 		if _, ok := slices.BinarySearch(comp, qc.Sender); !ok {
-			return fmt.Errorf("%s: resume: domain %d cut queues from %d, not in the component", cfg.Model, cut.Root, qc.Sender)
+			return fmt.Errorf("%s: resume: domain %d cut queues from %d, not in the component", model, cut.Root, qc.Sender)
 		}
 		if qc.Slot < 0 || qc.Slot >= degreeOf(int(qc.Sender)) {
-			return fmt.Errorf("%s: resume: domain %d cut queue slot %d out of range for sender %d", cfg.Model, cut.Root, qc.Slot, qc.Sender)
+			return fmt.Errorf("%s: resume: domain %d cut queue slot %d out of range for sender %d", model, cut.Root, qc.Slot, qc.Sender)
 		}
 		if len(qc.Msgs) == 0 {
-			return fmt.Errorf("%s: resume: domain %d cut has an empty queue for sender %d", cfg.Model, cut.Root, qc.Sender)
+			return fmt.Errorf("%s: resume: domain %d cut has an empty queue for sender %d", model, cut.Root, qc.Sender)
 		}
 		for _, m := range qc.Msgs {
 			if len(m) == 0 || len(m) > cfg.MaxWords {
-				return fmt.Errorf("%s: resume: domain %d cut queue message of %d words violates the cap %d", cfg.Model, cut.Root, len(m), cfg.MaxWords)
+				return fmt.Errorf("%s: resume: domain %d cut queue message of %d words violates the cap %d", model, cut.Root, len(m), cfg.MaxWords)
 			}
 		}
 	}
@@ -402,7 +399,7 @@ func validateCut(cut *DomainCut, comp []int32, degreeOf func(int) int32, cfg Con
 }
 
 // restoreCut applies a validated cut to a freshly carved domain, before
-// any node goroutine starts: round counter and Stats, the final blobs of
+// any node program starts: round counter and Stats, the final blobs of
 // done nodes (which are never spawned), and the queued backlog,
 // re-activating the dirty accounting through the same noteQueued path
 // live sends use.
@@ -427,16 +424,4 @@ func (r *runner) restoreCut(cut *DomainCut) {
 			sc.outbox[qc.Slot].push(slices.Clone(m))
 		}
 	}
-}
-
-// liveNodes counts the nodes of a cut that have not finished — the
-// barrier population of the resumed domain.
-func liveNodes(cut *DomainCut) int {
-	live := 0
-	for _, nc := range cut.Nodes {
-		if !nc.Done {
-			live++
-		}
-	}
-	return live
 }

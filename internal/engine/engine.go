@@ -2,28 +2,33 @@
 // model simulators of this repository (CONGEST, CONGESTED CLIQUE, MPC).
 // It owns one copy of the parallel hot path:
 //
-//   - a barrier that is a single atomic counter (no global mutex), with
-//     nodes sleeping on per-shard release channels so wake-up is batched
-//     shard by shard;
+//   - node programs that run as coroutines of their domain's goroutine,
+//     the only scheduler of its nodes: a round call (Next, SkipUntil,
+//     NextDelivery) parks the node with the round it wants back, and
+//     between two rounds, with every node parked, the domain goroutine
+//     delivers and collects the next round's awake nodes from per-shard
+//     calendars — no barrier, channel or lock on the scheduling path;
 //   - message delivery sharded by *receiver* across a pool of
 //     GOMAXPROCS workers with per-worker stats, merged once the workers
 //     are quiescent (sums and max, so totals are order-independent);
-//   - double-buffered inboxes and head-indexed outbox FIFOs that recycle
-//     their backing arrays, so steady-state rounds allocate nothing per
-//     edge;
+//     a round with enough awake nodes resumes them through the same
+//     pool, each worker running its own shard's nodes;
+//   - one reused inbox per node and head-indexed outbox FIFOs that
+//     recycle their backing arrays, so steady-state rounds allocate
+//     nothing per edge;
 //   - a sharded dirty-edge counter that skips the delivery scan entirely
 //     on quiet rounds, plus per-receiver dirty flags that keep a busy
 //     round's scan proportional to actual traffic instead of the edge
 //     set;
-//   - sleep primitives that take spinning nodes out of the barrier
-//     population: SkipUntil (sleep to a known round, e.g. a scheduled
+//   - sleep primitives that take idle nodes off the round's resume list:
+//     SkipUntil (sleep to a known round, e.g. a scheduled
 //     resynchronization) and NextDelivery (sleep until the next message
 //     arrives), with skipped rounds advancing — and counted — on the
 //     other nodes' schedule or fast-forwarded when everyone sleeps;
 //   - one independent lockstep domain per connected component of the
 //     topology: components exchange no messages, so each runs its own
-//     barrier and pool (bounded to GOMAXPROCS domains in flight), and a
-//     run over a disconnected topology is the parallel composition of
+//     round loop and pool (bounded to GOMAXPROCS domains in flight), and
+//     a run over a disconnected topology is the parallel composition of
 //     its components — max rounds, summed traffic.
 //
 // Receiver-sharding keeps everything deterministic: each inbox is filled
@@ -102,10 +107,6 @@ type Config struct {
 	// MaxRounds aborts runs that exceed this many rounds (default 1<<22),
 	// turning protocol livelocks into test failures instead of hangs.
 	MaxRounds int
-	// Model prefixes error messages with the simulated model's name
-	// ("congest", "clique", ...) so violations read in the caller's
-	// vocabulary. Empty means "engine".
-	Model string
 	// Workers bounds the delivery/compute parallelism of the run: the
 	// worker count of each domain's shard pool and the number of lockstep
 	// domains in flight. Zero inherits GOMAXPROCS (the historical
@@ -115,12 +116,9 @@ type Config struct {
 	// protocol behavior bit-identical at any setting (the
 	// *DeterministicAcrossShards suites pin this).
 	Workers int
-	// Checkpoint, when non-nil, collects consistent per-domain cuts at
-	// the round barriers in which every node committed its state (see
-	// Ctx.Commit). While attached, delivery runs inline on the round
-	// leader even on multi-shard pools — observationally identical by the
-	// worker-independence invariant, and it makes every barrier a
-	// quiescent point the leader can capture without locks.
+	// Checkpoint, when non-nil, collects consistent per-domain cuts
+	// between the rounds in which every node committed its state (see
+	// Ctx.Commit).
 	Checkpoint *Checkpointer
 	// Resume, when non-nil, restores each domain from its cut in the
 	// snapshot before any node program starts: round counter, Stats and
@@ -135,15 +133,17 @@ type Config struct {
 // choice any host could honor.
 const MaxWorkers = 4096
 
+// model prefixes every error a run reports. The CONGEST simulator is
+// the only client that runs node programs; the clique and MPC
+// simulators use the Pool and Scatter alone.
+const model = "congest"
+
 func (c Config) withDefaults() Config {
 	if c.MaxWords == 0 {
 		c.MaxWords = 4
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 1 << 22
-	}
-	if c.Model == "" {
-		c.Model = "engine"
 	}
 	return c
 }
@@ -156,8 +156,12 @@ type Stats struct {
 	MaxMessageWords int   // widest single message observed
 }
 
-// errAborted unwinds node goroutines when any node fails.
+// errAborted unwinds node programs when any node fails or the run stops.
 var errAborted = errors.New("engine: run aborted")
+
+// wakeOnDelivery is the wake round of a node parked in NextDelivery: it
+// runs in the first round that delivers it a message.
+const wakeOnDelivery = -1
 
 // fifo is a per-directed-edge message queue. The head index replaces
 // memmove-on-pop, and a drained queue rewinds to reuse its backing
@@ -194,7 +198,12 @@ func (q *fifo) pop() Message {
 }
 
 // Ctx is a node's handle to the simulation. All methods must be called
-// only from that node's own goroutine.
+// only from the node's own program. The program runs as a coroutine of
+// its domain's goroutine and may wait on another node's progress only
+// through the round calls Next, SkipUntil and NextDelivery: any other
+// wait (a channel, a lock held across a round call, a spin on shared
+// state) can never be released, because the node it waits for runs only
+// while this one is parked.
 type Ctx struct {
 	r     *runner
 	id    int
@@ -209,10 +218,11 @@ type Ctx struct {
 	outbox  []fifo // per-peer FIFO of pending messages
 	sentNow []bool // direct Send already used this round, per peer
 
-	// inboxes double-buffers delivery: workers fill inboxes[cur] while
-	// the node still holds the slice returned by the previous Next.
-	inboxes [2][]Incoming
-	cur     int
+	// inbox collects the messages delivered while the node is parked.
+	// The round call that resumes the node returns it and starts the next
+	// collection in the same buffer, which is why a round call's slice is
+	// valid only until the node's next round call.
+	inbox []Incoming
 
 	// domIdx is this node's position in its runner's nodes slice; it
 	// indexes the runner's receiver-dirty array.
@@ -223,20 +233,23 @@ type Ctx struct {
 	// Senders set bits (CAS — concurrent senders share words) when an
 	// edge queue activates; the delivery worker owning this receiver
 	// walks only the set bits instead of probing every inbound queue,
-	// and rewrites each word plainly (delivery runs with all senders
-	// parked at the barrier).
+	// and rewrites each word plainly (delivery runs with every node
+	// parked).
 	pending []atomic.Uint64
 
-	// waiting marks a node sleeping in NextDelivery; wakeCh is closed by
-	// the delivery side in the first round that hands it a message.
-	waiting bool
-	wakeCh  chan struct{}
+	// The node's coroutine (see start): resume and stop are called by
+	// the goroutine scheduling the node's shard, yield by the program's
+	// round calls. wake is the round the parked node wants back, or
+	// wakeOnDelivery.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	wake   int
 
 	// Checkpoint state. commitBlob/commitRound/commitValid hold the last
-	// Ctx.Commit of this node (written by the node's goroutine, read by
-	// the round leader at the barrier — ordered by the pending-counter
-	// RMW chain, like all other node state the leader touches).
-	// commitDone marks a CommitFinal.
+	// Ctx.Commit of this node (written by the node's program, read by
+	// the domain goroutine between rounds, ordered by the coroutine
+	// switch). commitDone marks a CommitFinal.
 	commitBlob  []byte
 	commitRound int
 	commitValid bool
@@ -275,15 +288,15 @@ func (c *Ctx) Round() int { return c.r.round }
 func (c *Ctx) Send(to int, msg Message) {
 	i := c.NeighborIndex(to)
 	if i < 0 {
-		c.r.fail(fmt.Errorf("%s: node %d sent to non-neighbor %d", c.r.cfg.Model, c.id, to))
+		c.r.fail(fmt.Errorf("%s: node %d sent to non-neighbor %d", model, c.id, to))
 		panic(errAborted)
 	}
 	if c.sentNow[i] {
-		c.r.fail(fmt.Errorf("%s: node %d sent twice to %d in round %d", c.r.cfg.Model, c.id, to, c.r.round))
+		c.r.fail(fmt.Errorf("%s: node %d sent twice to %d in round %d", model, c.id, to, c.r.round))
 		panic(errAborted)
 	}
 	if c.outbox[i].size() > 0 {
-		c.r.fail(fmt.Errorf("%s: node %d direct Send to %d with queued backlog", c.r.cfg.Model, c.id, to))
+		c.r.fail(fmt.Errorf("%s: node %d direct Send to %d with queued backlog", model, c.id, to))
 		panic(errAborted)
 	}
 	c.checkWidth(msg)
@@ -298,7 +311,7 @@ func (c *Ctx) Send(to int, msg Message) {
 func (c *Ctx) SendQueued(to int, msg Message) {
 	i := c.NeighborIndex(to)
 	if i < 0 {
-		c.r.fail(fmt.Errorf("%s: node %d queued to non-neighbor %d", c.r.cfg.Model, c.id, to))
+		c.r.fail(fmt.Errorf("%s: node %d queued to non-neighbor %d", model, c.id, to))
 		panic(errAborted)
 	}
 	c.checkWidth(msg)
@@ -311,22 +324,20 @@ func (c *Ctx) SendQueued(to int, msg Message) {
 // queue counter and flags the receiver as having pending incoming
 // traffic. The sender that flips the receiver's rdirty flag false→true
 // also appends the receiver to its shard's delivery worklist (the CAS
-// makes the append exactly-once per receiver per list), so a round's
-// delivery walks only the receivers that actually have traffic instead
-// of scanning the whole flag array. All writes are ordered before the
-// barrier that delivers them, since the sender reaches its own barrier
-// arrival after sending.
+// makes the append exactly-once per receiver), so a round's delivery
+// walks only the receivers that actually have traffic instead of
+// scanning the whole flag array. Nodes of different shards may run at
+// once, hence the atomics; all writes are ordered before the delivery
+// that reads them by the sender's park.
 func (c *Ctx) noteQueued(i int) {
 	if c.outbox[i].size() == 0 {
 		c.r.dirty[c.shard].v.Add(1)
 		rc := c.r.ctxs[c.nbr[i]]
 		if c.r.rdirty[rc.domIdx].CompareAndSwap(false, true) {
-			sw := &c.r.work[rc.shard]
 			// Concurrent senders (to different receivers of this shard)
-			// claim disjoint slots via the cursor; the side index is stable
-			// while any sender runs — it flips only during delivery, with
-			// every sender parked at the barrier.
-			sw.lists[sw.side][sw.count[sw.side].Add(1)-1] = rc.domIdx
+			// claim disjoint slots via the cursor.
+			sw := &c.r.work[rc.shard]
+			sw.list[sw.count.Add(1)-1] = rc.domIdx
 		}
 		slot := c.srcSlot[i]
 		w := &rc.pending[slot>>6]
@@ -343,11 +354,11 @@ func (c *Ctx) noteQueued(i int) {
 func (c *Ctx) checkWidth(msg Message) {
 	if len(msg) > c.r.cfg.MaxWords {
 		c.r.fail(fmt.Errorf("%s: node %d message of %d words exceeds cap %d",
-			c.r.cfg.Model, c.id, len(msg), c.r.cfg.MaxWords))
+			model, c.id, len(msg), c.r.cfg.MaxWords))
 		panic(errAborted)
 	}
 	if len(msg) == 0 {
-		c.r.fail(fmt.Errorf("%s: node %d sent empty message", c.r.cfg.Model, c.id))
+		c.r.fail(fmt.Errorf("%s: node %d sent empty message", model, c.id))
 		panic(errAborted)
 	}
 }
@@ -363,14 +374,14 @@ func (c *Ctx) checkWidth(msg Message) {
 // run's Stats wherever delivered traffic does — the end-of-run merge
 // and every staged checkpoint cut — so a charging protocol stays
 // checkpoint/restore-consistent as long as it charges a segment's
-// traffic before the next commit barrier. Rounds are not charged here:
+// traffic before the next commit round. Rounds are not charged here:
 // the node still advances through the segment's rounds (SkipUntil), so
 // round accounting needs no substitute.
 func (c *Ctx) ChargeTraffic(messages, words int64, maxWidth int) {
 	r := c.r
 	if messages < 0 || words < 0 {
 		r.fail(fmt.Errorf("%s: node %d charged negative traffic (%d messages, %d words)",
-			r.cfg.Model, c.id, messages, words))
+			model, c.id, messages, words))
 		panic(errAborted)
 	}
 	if messages == 0 && words == 0 {
@@ -378,7 +389,7 @@ func (c *Ctx) ChargeTraffic(messages, words int64, maxWidth int) {
 	}
 	if maxWidth <= 0 || maxWidth > r.cfg.MaxWords {
 		r.fail(fmt.Errorf("%s: node %d charged message width %d outside (0, %d]",
-			r.cfg.Model, c.id, maxWidth, r.cfg.MaxWords))
+			model, c.id, maxWidth, r.cfg.MaxWords))
 		panic(errAborted)
 	}
 	r.chargedMsgs.Add(messages)
@@ -411,94 +422,78 @@ func (c *Ctx) Pending() bool {
 	return false
 }
 
-// Next ends the node's current round and blocks until all nodes have done
-// so; it returns the messages delivered to this node for the new round.
-// The returned slice is valid until the following Next call.
+// Next ends the node's current round and parks it until the next one;
+// it returns the messages delivered to this node for the new round. The
+// returned slice is valid until the node's next round call (Next,
+// SkipUntil or NextDelivery), which reuses its buffer.
 func (c *Ctx) Next() []Incoming {
-	if !c.r.barrierWait(c) {
-		panic(errAborted)
-	}
-	return c.flipInbox()
+	return c.park(c.r.round + 1)
 }
 
-// SkipUntil ends the node's current round and removes the node from the
-// barrier population until the given absolute round number: the rounds in
-// between advance on the other nodes' schedule (or fast-forward when
-// every node is skipping), without this node being woken per round. It
-// returns every message delivered to the node while it slept, in round
-// order with ascending senders within a round — exactly what repeated
-// Next calls would have concatenated — so a long synchronization spin or
-// a wait for a deterministically scheduled message costs one sleep
-// instead of target−round barrier participations. Stats are unchanged:
-// skipped rounds are counted exactly as if the node had ticked them.
-// If target is not beyond the current round, SkipUntil is a no-op
-// returning nil (the node stays in its current round).
+// SkipUntil ends the node's current round and parks it until the given
+// absolute round number: the rounds in between advance on the other
+// nodes' schedule (or fast-forward when every node is asleep), without
+// this node being resumed per round. It returns every message delivered
+// to the node while it slept, in round order with ascending senders
+// within a round — exactly what repeated Next calls would have
+// concatenated — so a long synchronization spin or a wait for a
+// deterministically scheduled message costs one sleep instead of
+// target−round resumptions. Stats are unchanged: skipped rounds are
+// counted exactly as if the node had ticked them. If target is not
+// beyond the current round, SkipUntil is a no-op returning nil (the
+// node stays in its current round). The returned slice is valid until
+// the node's next round call.
 func (c *Ctx) SkipUntil(target int) []Incoming {
-	r := c.r
-	if r.sh.aborted.Load() {
-		panic(errAborted)
-	}
-	if target <= r.round {
+	if target <= c.r.round {
 		return nil
 	}
-	s := &r.skipShards[c.shard]
-	s.mu.Lock()
-	g := s.at[target]
-	if g == nil {
-		g = &skipGroup{ch: make(chan struct{})}
-		s.at[target] = g
-		r.skipGroups.Add(1)
-	}
-	g.n++
-	s.mu.Unlock()
-	r.leaves.Add(1)
-	if r.pending.Add(-1) == 0 {
-		r.completeRound()
-	}
-	<-g.ch
-	if r.sh.aborted.Load() {
-		panic(errAborted)
-	}
-	return c.flipInbox()
+	return c.park(target)
 }
 
-// NextDelivery ends the node's current round and removes the node from
-// the barrier population until the first round that delivers it a
-// message; it returns that round's messages. Rounds in between advance
-// on the other nodes' schedule without waking this node, so a wait of
-// unknown length for the next protocol event (a flooding wave, a tree
-// report) costs one sleep instead of one barrier participation per
-// round. Stats are unchanged — the node observes the message in exactly
-// the round it would have seen it from a Next loop. If every node of the
-// domain is waiting and nothing is queued, no message can ever arrive
-// and the run fails with a deadlock error (the analogue of MaxRounds for
-// event-driven waits).
+// NextDelivery ends the node's current round and parks it until the
+// first round that delivers it a message; it returns that round's
+// messages. Rounds in between advance on the other nodes' schedule
+// without resuming this node, so a wait of unknown length for the next
+// protocol event (a flooding wave, a tree report) costs one sleep
+// instead of one resumption per round. Stats are unchanged — the node
+// observes the message in exactly the round it would have seen it from
+// a Next loop. If every node of the domain is waiting and nothing is
+// queued, no message can ever arrive and the run fails with a deadlock
+// error (the analogue of MaxRounds for event-driven waits). The
+// returned slice is valid until the node's next round call.
 func (c *Ctx) NextDelivery() []Incoming {
-	r := c.r
-	if r.sh.aborted.Load() {
-		panic(errAborted)
-	}
-	c.waiting = true
-	c.wakeCh = make(chan struct{})
-	r.waiters.Add(1)
-	r.leaves.Add(1)
-	if r.pending.Add(-1) == 0 {
-		r.completeRound()
-	}
-	<-c.wakeCh
-	if r.sh.aborted.Load() {
-		panic(errAborted)
-	}
-	return c.flipInbox()
+	return c.park(wakeOnDelivery)
 }
 
-// flipInbox swaps the double buffer and returns the delivered messages,
-// shared by Next, SkipUntil, and NextDelivery.
-func (c *Ctx) flipInbox() []Incoming {
-	in := c.inboxes[c.cur]
-	c.cur ^= 1
-	c.inboxes[c.cur] = c.inboxes[c.cur][:0]
+// park records the round the node wants back and yields to the
+// goroutine scheduling its shard, which resumes the node in that round.
+// A false yield (the run stopped the coroutine) or an aborted run
+// unwinds the program with errAborted. On resumption it returns the
+// messages delivered while the node was parked.
+func (c *Ctx) park(wake int) []Incoming {
+	c.wake = wake
+	if !c.yield(struct{}{}) || c.r.sh.aborted.Load() {
+		panic(errAborted)
+	}
+	in := c.inbox
+	c.inbox = in[:0]
 	return in
+}
+
+// start makes program the node's coroutine. The body recovers the
+// program's panics: errAborted is the unwinding of an aborted or stopped
+// run, anything else fails the run. Either way the body returns
+// normally, so neither resume nor stop re-panics on the scheduling side.
+func (c *Ctx) start(program func(*Ctx)) {
+	c.resume, c.stop = coroutine(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			if p := recover(); p != nil && !errors.Is(asErr(p), errAborted) {
+				c.r.fail(fmt.Errorf("%s: node %d panicked: %v", model, c.id, p))
+			}
+		}()
+		program(c)
+	})
 }
 
 // padCounter is a cache-line-padded atomic counter: the dirty-edge
@@ -507,13 +502,6 @@ func (c *Ctx) flipInbox() []Incoming {
 type padCounter struct {
 	v atomic.Int64
 	_ [7]uint64
-}
-
-// roundTask is one round's delivery coordination: deliver every shard's
-// receiver range, then wake each shard by closing old[shard].
-type roundTask struct {
-	old  []chan struct{} // the round's release channels, one per shard
-	done chan struct{}   // closed when every shard finished delivering
 }
 
 // shared is the cross-domain state of one run: the abort flag and the
@@ -536,51 +524,35 @@ func (sh *shared) fail(err error) {
 
 // runner drives one lockstep domain of a simulation: one connected
 // component of the topology. Components exchange no messages, so each
-// runs its own barrier, round counter, and delivery pool — a run over a
-// disconnected topology is the parallel composition of its components
+// runs its own round loop, round counter, and delivery pool — a run over
+// a disconnected topology is the parallel composition of its components
 // (Stats fold as max rounds / summed traffic), and the per-node view
-// (round numbering, delivery order) is identical to a single global
-// barrier because a node's round count is just its own barrier count.
-// Splitting the barrier keeps each component's goroutine set scheduled
-// in bursts (cache-resident) and lets components progress independently
-// on multicore hosts. The Topology is consumed during setup in
-// RunWithDomains; afterwards everything the engine needs lives in the
-// Ctxs.
+// (round numbering, delivery order) is identical to one global round
+// loop because a node's round count is just the domain's. The Topology
+// is consumed during setup in RunWithDomains; afterwards everything the
+// engine needs lives in the Ctxs.
 type runner struct {
 	nodes []int32 // this domain's endpoints, ascending
 	sh    *shared
 	cfg   Config
 	ctxs  []*Ctx // global ctx table, shared across domains
 
-	// Barrier. pending counts the arrivals outstanding this round; the
-	// goroutine whose arrival (or departure) takes it to zero is the
-	// round leader and runs completeRound while every other node sleeps,
-	// so the leader may touch active/round/stats without locks. Sleepers
-	// wait on their shard's release channel; each channel is read before
-	// the pending decrement, which orders it before the leader's
-	// replacement write.
-	pending  atomic.Int64
-	leaves   atomic.Int64    // departures since the last barrier
-	releases []chan struct{} // one per shard; replaced by the leader each round
-	active   int64
-	round    int
-
+	round int
 	stats Stats
 
+	// sched[s] is shard s's node schedule; every node of the domain is
+	// in exactly one of its lists (or finished) whenever no node runs.
+	sched []shardSched
+
 	// Sharded delivery. Worker i of the pool owns receivers [Bounds(i))
-	// and the matching release shard. shardFns are pre-allocated per-shard
-	// closures; cur is the round task they read, written by the leader
-	// before dispatch (ordered by the task-channel send).
-	pool     *Pool
-	wstats   []WorkerStats
-	shardFns []func(int)
-	cur      roundTask
-	left     atomic.Int32
+	// and resumes shard i's nodes.
+	pool   *Pool
+	wstats []WorkerStats
 
 	// dirty[s] counts non-empty edge queues whose sender lives in shard
-	// s. When the total is zero at a barrier the whole delivery scan is
-	// skipped, so protocol-free synchronization rounds (SpinUntil, pure
-	// barriers) cost O(shards) instead of O(m).
+	// s. When the total is zero between rounds the whole delivery scan
+	// is skipped, so protocol-free synchronization rounds (SpinUntil,
+	// empty Next loops) cost O(shards) instead of O(m).
 	dirty []padCounter
 
 	// rdirty[idx] is set by senders when an incoming edge queue of node
@@ -594,51 +566,26 @@ type runner struct {
 	// million-node domains.
 	rdirty []atomic.Bool
 
-	// work[s] is shard s's delivery worklist: the receivers (domain
-	// indexes) owned by shard s that have pending inbound traffic this
-	// round. Double-buffered — senders append to lists[side] between
-	// barriers, delivery drains it and re-appends backlogged receivers to
-	// the other side before flipping, with the flip ordered before any
-	// sender wakes by the release-channel chain.
+	// work[s] is shard s's delivery worklist.
 	work []shardWork
-
-	// skipShards groups the nodes sleeping in SkipUntil by wake round,
-	// striped by the sleeper's shard so a converge wave registering the
-	// whole domain in one round doesn't serialize on a single mutex. The
-	// leader readmits groups when it advances into their round (collecting
-	// across stripes), and fast-forwards when every remaining node is
-	// asleep. skipGroups counts the live groups across all stripes, so the
-	// quiet-path checks stay O(1).
-	skipShards []skipShard
-	skipGroups atomic.Int64
-	// wakeScratch is the leader's reusable buffer for the groups waking
-	// into the round being entered (leader-only).
-	wakeScratch []*skipGroup
-
-	// NextDelivery accounting: waiters counts sleeping message-waiters;
-	// wokenByShard collects, per delivery worker, the waiters that shard
-	// handed a message this round (disjoint receivers, so no locks). The
-	// waker (last delivery worker, or the leader on inline paths) folds
-	// them back into the population before anyone is released.
-	waiters      atomic.Int64
-	wokenByShard [][]*Ctx
 
 	// Analytically charged traffic (Ctx.ChargeTraffic): message/word
 	// counts for communication whose outcome a protocol computed in
 	// closed form instead of delivering message by message. Folded into
 	// stats wherever worker stats are folded (end of run, staged cuts),
 	// so charged and delivered traffic are indistinguishable in every
-	// reported Stats. Atomics: any awake node may charge, and charges
-	// are rare (once per aggregated segment), so contention is nil.
+	// reported Stats. Atomics: nodes of different shards may charge at
+	// once, and charges are rare (once per aggregated segment), so
+	// contention is nil.
 	chargedMsgs  atomic.Int64
 	chargedWords atomic.Int64
 	chargedMaxW  atomic.Int64
 
 	// Checkpointing (nil/zero when Config.Checkpoint is unset). The
-	// staged fields hold the leader-side half of a potential cut,
-	// captured at the barrier entering stagedRound (see stageCut); the
-	// cut is finalized at the barrier leaving that round if every node
-	// committed in it. All leader-only.
+	// staged fields hold the engine's half of a potential cut, captured
+	// on entering stagedRound (see stageCut); the cut is finalized on
+	// leaving that round if every node committed in it. Domain goroutine
+	// only.
 	ck           *Checkpointer
 	stagedValid  bool
 	stagedRound  int
@@ -646,256 +593,185 @@ type runner struct {
 	stagedQueues []QueueCut
 }
 
-// skipGroup is the set of nodes sleeping until one wake round.
-type skipGroup struct {
-	n  int64
-	ch chan struct{}
+// shardSched is one shard's node schedule. Only the goroutine that
+// resumes or delivers for the shard writes it — the shard's pool worker
+// inside a pass, the domain goroutine otherwise — and only while the
+// nodes it lists are parked. Padded so shards resumed at once don't
+// share cache lines.
+type shardSched struct {
+	awake []*Ctx         // to resume in the current round
+	next  []*Ctx         // parked in Next: due in the following round
+	cal   map[int][]*Ctx // parked in SkipUntil, by wake round
+	woken []*Ctx         // NextDelivery waiters this round's delivery reached
+	live  int            // unfinished nodes
+	_     [5]uint64
 }
 
-// skipShard is one stripe of the SkipUntil registry, padded so stripes
-// under concurrent registration don't share cache lines.
-type skipShard struct {
-	mu sync.Mutex
-	at map[int]*skipGroup
-	_  [4]uint64
-}
-
-// shardWork is one shard's double-buffered delivery worklist. Senders
-// append receiver indexes to lists[side] through an atomic cursor (the
-// rdirty CAS in noteQueued makes each receiver appear at most once);
-// the shard's delivery drains the current side, re-appends backlogged
-// receivers to the other, and flips. List order is sender-arrival order
-// and so scheduler-dependent — harmless, because each receiver's inbox
-// is still filled in ascending sender order by the pending-bitmap walk,
-// and the leader-side checkpoint staging iterates nodes, not worklists.
+// shardWork is one shard's delivery worklist: the receivers (domain
+// indexes) owned by the shard with pending inbound traffic. Senders
+// append through an atomic cursor (the rdirty CAS in noteQueued makes
+// each receiver appear at most once); the shard's delivery drains the
+// list and keeps the receivers with remaining backlog at its front.
+// List order is sender-arrival order and so scheduler-dependent —
+// harmless, because each receiver's inbox is still filled in ascending
+// sender order by the pending-bitmap walk, and the checkpoint staging
+// iterates nodes, not worklists.
 type shardWork struct {
-	lists [2][]int32
-	count [2]atomic.Int32
-	side  int
+	list  []int32
+	count atomic.Int32
 	_     [4]uint64
 }
 
 // shardMin keeps tiny topologies on the sequential path: below this many
-// nodes per worker the dispatch overhead outweighs the parallelism.
+// nodes per worker the dispatch overhead outweighs the parallelism. The
+// same floor keeps a round's resumption or delivery on the domain
+// goroutine when fewer nodes than that take part in it.
 const shardMin = 256
 
 func (r *runner) fail(err error) { r.sh.fail(err) }
 
-// barrierWait blocks until all active nodes arrive; the arrival that
-// completes the barrier becomes the leader and advances the round.
-// Returns false if the run aborted.
-func (r *runner) barrierWait(c *Ctx) bool {
-	if r.sh.aborted.Load() {
-		return false
-	}
-	// Read the release channel before decrementing: the leader only
-	// replaces r.releases after pending hits zero, i.e. after this read.
-	rel := r.releases[c.shard]
-	if r.pending.Add(-1) == 0 {
-		r.completeRound()
-	} else {
-		<-rel
-	}
-	return !r.sh.aborted.Load()
-}
-
-// leave removes a finished node from the barrier population. A departure
-// counts as this round's arrival, and is deducted from the population at
-// the next barrier.
-func (r *runner) leave() {
-	r.leaves.Add(1)
-	if r.pending.Add(-1) == 0 {
-		r.completeRound()
-	}
-}
-
-// completeRound runs once per barrier, by the single goroutine whose
-// arrival, departure, or skip registration took pending to zero: apply
-// departures, readmit skippers whose wake round arrives, advance the
-// round, deliver queued messages across the worker shards, and wake the
-// sleepers shard by shard (skip groups last, after delivery finishes).
-// When every remaining node is asleep in a skip group, rounds
-// fast-forward one by one — still counted, still delivering any queued
-// backlog — with nobody woken until the earliest wake round.
-func (r *runner) completeRound() {
-	// This barrier leaves round r.round with every node parked: if the
-	// staged state is for this round and every node committed in it, the
-	// two halves form a consistent cut.
-	r.tryFinalizeCut()
-	r.active -= r.leaves.Swap(0)
+// run drives the domain to its end: resume the round's awake nodes until
+// each parks in a round call or finishes, finalize the round's cut, and
+// advance to the next round in which some node runs. Between two rounds
+// every node is parked, so the domain goroutine owns all scheduling,
+// delivery and checkpoint state without locks. However the domain ends
+// — completion, abort, deadlock — every unfinished coroutine is stopped,
+// so its program's defers run and no node goroutine outlives the run.
+func (r *runner) run() {
+	defer r.stopAll()
 	for {
-		// Nodes scheduled to wake in the round being entered rejoin the
-		// population before that round's barrier forms. Groups for one
-		// round may live in several stripes (one per sleeper shard); the
-		// leader collects them all, so nothing below depends on striping.
-		next := r.round + 1
-		wake := r.wakeScratch[:0]
-		if r.skipGroups.Load() > 0 {
-			for si := range r.skipShards {
-				s := &r.skipShards[si]
-				s.mu.Lock()
-				if g := s.at[next]; g != nil {
-					delete(s.at, next)
-					wake = append(wake, g)
-				}
-				s.mu.Unlock()
-			}
-			if len(wake) > 0 {
-				r.skipGroups.Add(-int64(len(wake)))
-			}
-		}
-		r.wakeScratch = wake
-		skipsLeft := int(r.skipGroups.Load())
-		for _, g := range wake {
-			r.active += g.n
-		}
-
-		if r.active <= 0 {
-			if skipsLeft == 0 && r.waiters.Load() == 0 {
-				return // the last node left; nobody is sleeping
-			}
-			if skipsLeft == 0 && !r.anyQueued() {
-				// Only message-waiters remain and nothing is in flight: no
-				// message can ever materialize.
-				r.fail(fmt.Errorf("%s: every node is waiting for a message and none are queued (protocol deadlock)", r.cfg.Model))
-				r.wakeAllSleepers()
-				return
-			}
-			if skipsLeft > 0 && !r.anyQueued() {
-				// Nothing can be delivered until a skipper wakes, so jump
-				// straight to the round before the earliest wake (counting
-				// the skipped rounds) instead of ticking them one by one.
-				minWake := 0
-				for si := range r.skipShards {
-					s := &r.skipShards[si]
-					s.mu.Lock()
-					//sbw:orderinvariant min-reduction over the wake rounds; the minimum is order-independent
-					for round := range s.at {
-						if minWake == 0 || round < minWake {
-							minWake = round
-						}
-					}
-					s.mu.Unlock()
-				}
-				if delta := minWake - 1 - r.round; delta > 0 {
-					if !r.advanceRounds(delta) {
-						r.wakeAllSleepers()
-						return
-					}
-				}
-				continue
-			}
-			// Everyone left or sleeps past `next`: advance the round with
-			// nobody to wake and retry at the following one.
-			if !r.advanceRounds(1) {
-				r.wakeAllSleepers()
-				return
-			}
-			if r.anyQueued() {
-				r.deliverAll()
-				if woken := r.collectWoken(); len(woken) > 0 {
-					// Delivery woke message-waiters: form the new round's
-					// population from them and hand control back. Stage the
-					// cut before anyone wakes (pure fast-forward rounds with
-					// nobody woken skip staging: no node executes in them, so
-					// no commit can reference them).
-					r.active += int64(len(woken))
-					r.pending.Store(r.active)
-					if r.ck != nil {
-						r.stageCut()
-					}
-					wakeNodes(woken)
-					return
-				}
-			}
-			continue
-		}
-
-		nshards := r.pool.Shards()
-		old := r.releases
-		fresh := make([]chan struct{}, nshards)
-		for i := range fresh {
-			fresh[i] = make(chan struct{})
-		}
-		r.releases = fresh
-		r.pending.Store(r.active)
-
-		if !r.advanceRounds(1) {
-			for _, ch := range old {
-				close(ch)
-			}
-			closeGroups(wake)
-			r.wakeAllSleepers()
+		r.resumeAwake()
+		if r.sh.aborted.Load() {
 			return
 		}
-		if !r.anyQueued() {
-			// Nothing anywhere in flight: skip the delivery scan entirely.
-			if r.ck != nil {
-				r.stageCut()
-			}
-			for _, ch := range old {
-				close(ch)
-			}
-			closeGroups(wake)
+		r.tryFinalizeCut()
+		if !r.advance() {
 			return
 		}
-		if nshards == 1 || r.ck != nil {
-			// Inline delivery: the single-shard fast path, and — forced —
-			// every round of a checkpointing run, so the leader can stage
-			// the post-delivery queue state before anyone wakes. With
-			// nshards > 1 forced inline, every shard's release channel
-			// still must close.
-			r.deliverAll()
-			woken := r.collectWoken()
-			if len(woken) > 0 {
-				r.active += int64(len(woken))
-				r.pending.Add(int64(len(woken)))
-			}
-			if r.ck != nil {
-				r.stageCut()
-			}
-			// All accounting done: wake waiters, then sleepers. Nothing
-			// shared is mutated after the first close.
-			wakeNodes(woken)
-			for _, ch := range old {
-				close(ch)
-			}
-			closeGroups(wake)
-			return
+	}
+}
+
+// resumeAwake runs the round's awake nodes: on the domain goroutine when
+// fewer than shardMin are awake, otherwise one pool pass in which each
+// worker resumes its own shard's nodes.
+func (r *runner) resumeAwake() {
+	awake := 0
+	for i := range r.sched {
+		awake += len(r.sched[i].awake)
+	}
+	if awake < shardMin {
+		for s := range r.sched {
+			r.resumeShard(s)
 		}
-		r.left.Store(int32(nshards))
-		r.cur = roundTask{old: old, done: make(chan struct{})}
-		t := r.cur
-		for wid := 0; wid < nshards; wid++ {
-			r.pool.Submit(wid, r.shardFns[wid])
-		}
-		// The leader is a node too: it may not run ahead into the next round
-		// until its own inbox is complete. Shard wake-ups proceed in the
-		// background; skippers wake only after every shard delivered, and
-		// the leader mutates nothing past this point (the next round's
-		// leader may already be running).
-		<-t.done
-		closeGroups(wake)
 		return
 	}
+	r.pool.ForEach(func(s, _, _ int) { r.resumeShard(s) })
 }
 
-// closeGroups releases the skip groups waking into the round just
-// entered.
-func closeGroups(wake []*skipGroup) {
-	for _, g := range wake {
-		close(g.ch)
+// resumeShard resumes shard s's awake nodes in turn and files each by
+// the round it parked for (a NextDelivery waiter is filed by the
+// delivery that reaches it).
+func (r *runner) resumeShard(s int) {
+	sc := &r.sched[s]
+	for _, c := range sc.awake {
+		if _, ok := c.resume(); !ok {
+			sc.live--
+			continue
+		}
+		switch c.wake {
+		case r.round + 1:
+			sc.next = append(sc.next, c)
+		case wakeOnDelivery:
+		default:
+			sc.cal[c.wake] = append(sc.cal[c.wake], c)
+		}
 	}
+	sc.awake = sc.awake[:0]
+}
+
+// advance moves the domain to the next round in which some node runs.
+// When nothing is queued and no node is due next round, it jumps to the
+// round before the earliest SkipUntil wake; every round entered is
+// counted against MaxRounds and delivers whatever is queued, including
+// rounds nobody wakes in. The round it stops in gets a staged cut. It
+// returns false when the domain is finished, deadlocked or aborted.
+func (r *runner) advance() bool {
+	for {
+		live, due := 0, false
+		for i := range r.sched {
+			sc := &r.sched[i]
+			live += sc.live
+			due = due || len(sc.next) > 0 || len(sc.cal[r.round+1]) > 0
+		}
+		if live == 0 {
+			return false
+		}
+		if !due && !r.anyQueued() {
+			wake := r.earliestWake()
+			if wake == 0 {
+				// Only message-waiters remain and nothing is in flight: no
+				// message can ever materialize.
+				r.fail(fmt.Errorf("%s: every node is waiting for a message and none are queued (protocol deadlock)", model))
+				return false
+			}
+			// Nothing can happen until a skipper wakes: count the rounds
+			// up to its wake round instead of ticking them one by one.
+			if !r.advanceRounds(wake - 1 - r.round) {
+				return false
+			}
+		}
+		if !r.advanceRounds(1) {
+			return false
+		}
+		if r.anyQueued() {
+			r.deliver()
+		}
+		awake := 0
+		for i := range r.sched {
+			sc := &r.sched[i]
+			sc.awake, sc.next = sc.next, sc.awake
+			if sleepers, ok := sc.cal[r.round]; ok {
+				sc.awake = append(sc.awake, sleepers...)
+				delete(sc.cal, r.round)
+			}
+			sc.awake = append(sc.awake, sc.woken...)
+			sc.woken = sc.woken[:0]
+			awake += len(sc.awake)
+		}
+		// A round nobody runs in gets no staged cut: no node executes in
+		// it, so no commit can reference it.
+		if awake > 0 {
+			if r.ck != nil {
+				r.stageCut()
+			}
+			return true
+		}
+	}
+}
+
+// earliestWake returns the earliest SkipUntil wake round of the domain,
+// or 0 when no node sleeps in SkipUntil.
+func (r *runner) earliestWake() int {
+	wake := 0
+	for i := range r.sched {
+		//sbw:orderinvariant min-reduction over the wake rounds; the minimum is order-independent
+		for round := range r.sched[i].cal {
+			if wake == 0 || round < wake {
+				wake = round
+			}
+		}
+	}
+	return wake
 }
 
 // advanceRounds moves the domain forward by delta rounds, counting them
 // against Stats and the MaxRounds cap. It returns false when the run is
-// (or becomes) aborted — the caller must wake its sleepers and bail.
+// (or becomes) aborted.
 func (r *runner) advanceRounds(delta int) bool {
 	r.round += delta
 	r.stats.Rounds += delta
 	if !r.sh.aborted.Load() && r.stats.Rounds > r.cfg.MaxRounds {
-		r.fail(fmt.Errorf("%s: exceeded MaxRounds=%d", r.cfg.Model, r.cfg.MaxRounds))
+		r.fail(fmt.Errorf("%s: exceeded MaxRounds=%d", model, r.cfg.MaxRounds))
 	}
 	return !r.sh.aborted.Load()
 }
@@ -909,119 +785,52 @@ func (r *runner) anyQueued() bool {
 	return queued != 0
 }
 
-// collectWoken detaches this round's woken message-waiters from the
-// collection lists — detaching (not truncating) so the next round's
-// delivery can refill the slots without sharing a backing array with
-// this round's wake — clears their waiting flags, and updates the
-// waiters counter. The caller must give them pending slots before
-// releasing them with wakeNodes; once a wakeCh closes, the woken node
-// may immediately become the next round's leader.
-func (r *runner) collectWoken() []*Ctx {
-	var woken []*Ctx
-	for s := range r.wokenByShard {
-		if len(r.wokenByShard[s]) > 0 {
-			woken = append(woken, r.wokenByShard[s]...)
-			r.wokenByShard[s] = nil
+// deliver moves one queued message per dirty edge into its receiver's
+// inbox: on the domain goroutine when fewer than shardMin receivers are
+// dirty, otherwise one pool pass in which each worker drains its own
+// shard's worklist. Shards touch disjoint receivers and their senders
+// are parked, so either way the inboxes, Stats and wake-ups are the
+// same.
+func (r *runner) deliver() {
+	dirty := 0
+	for i := range r.work {
+		dirty += int(r.work[i].count.Load())
+	}
+	if dirty < shardMin {
+		for s := range r.work {
+			r.deliverWork(s)
 		}
+		return
 	}
-	for _, c := range woken {
-		c.waiting = false
-	}
-	if len(woken) > 0 {
-		r.waiters.Add(-int64(len(woken)))
-	}
-	return woken
-}
-
-// wakeNodes releases nodes collected by collectWoken.
-func wakeNodes(ws []*Ctx) {
-	for _, c := range ws {
-		close(c.wakeCh)
-	}
-}
-
-// wakeAllSleepers releases every skip group and message-waiter (abort
-// and deadlock paths); the woken nodes observe the aborted flag and
-// unwind.
-func (r *runner) wakeAllSleepers() {
-	for si := range r.skipShards {
-		s := &r.skipShards[si]
-		s.mu.Lock()
-		//sbw:orderinvariant abort/deadlock teardown; every group is closed and the run reports failure regardless of wake order
-		for round, g := range s.at {
-			delete(s.at, round)
-			close(g.ch)
-		}
-		s.mu.Unlock()
-	}
-	r.skipGroups.Store(0)
-	for _, v := range r.nodes {
-		c := r.ctxs[v]
-		if c.waiting {
-			c.waiting = false
-			close(c.wakeCh)
-		}
-	}
-	r.waiters.Store(0)
-}
-
-// runShard is one worker's share of a round: deliver its receiver range,
-// then wake its release shard once every shard has delivered. The task
-// read from r.cur is ordered after the leader's write by the pool's
-// task-channel send.
-func (r *runner) runShard(wid int) {
-	t := r.cur
-	r.deliverWork(wid)
-	if r.left.Add(-1) == 0 {
-		// Last shard standing: every shard has delivered. Admit the
-		// message-waiters this round woke — population count, pending
-		// slot, wake, and list detach — entirely before t.done: a woken
-		// node may immediately arrive at the next barrier and become its
-		// leader, so no shared state may be mutated after t.done.
-		woken := r.collectWoken()
-		if len(woken) > 0 {
-			r.active += int64(len(woken))
-			r.pending.Add(int64(len(woken)))
-		}
-		wakeNodes(woken)
-		close(t.done)
-	} else {
-		// Wake-up must wait for *all* shards: a woken node may send
-		// immediately, racing a slower worker still reading its outbox.
-		<-t.done
-	}
-	close(t.old[wid])
+	r.pool.ForEach(func(s, _, _ int) { r.deliverWork(s) })
 }
 
 // deliverWork moves one queued message per directed edge into the
-// inboxes of shard wid's dirty receivers: it drains the shard's current
-// worklist side instead of scanning a receiver range, so a round's cost
-// is proportional to the receivers that actually have traffic — a BFS
-// wave over a million-node domain touches the wavefront, not the domain.
+// inboxes of shard wid's dirty receivers: it drains the shard's worklist
+// instead of scanning a receiver range, so a round's cost is
+// proportional to the receivers that actually have traffic — a BFS wave
+// over a million-node domain touches the wavefront, not the domain.
 // Each receiver walks its incident edges in sorted sender order (the
 // pending-bitmap walk) — the exact delivery order of the sequential
 // engine, so results do not depend on the worker count or on the
-// worklist's sender-arrival order. Receivers with remaining backlog are
-// re-appended to the other worklist side for the next round; the flip
-// happens with every sender parked at the barrier and is ordered before
-// any release-channel close. A sender's outbox slot and sentNow flag for
-// an edge are touched only by the worker owning the receiving endpoint,
-// so delivery needs no locks.
+// worklist's sender-arrival order. Receivers with remaining backlog stay
+// on the worklist for the next round, and NextDelivery waiters handed a
+// message are filed for resumption. A sender's outbox slot and sentNow
+// flag for an edge are touched only by the worker owning the receiving
+// endpoint, so delivery needs no locks.
 //
 //sbw:allocfree engine delivery inner loop: one call per receiver shard per round
 func (r *runner) deliverWork(wid int) {
 	ws := &r.wstats[wid]
 	sw := &r.work[wid]
-	side := sw.side
-	list := sw.lists[side][:sw.count[side].Load()]
-	next := side ^ 1
-	nlist := sw.lists[next]
+	sched := &r.sched[wid]
+	list := sw.list[:sw.count.Load()]
 	carried := int32(0)
 	for _, idx := range list {
 		c := r.ctxs[r.nodes[idx]]
 		backlog := false
 		delivered := false
-		buf := c.inboxes[c.cur]
+		buf := c.inbox
 		for wi := range c.pending {
 			word := c.pending[wi].Load()
 			if word == 0 {
@@ -1043,40 +852,42 @@ func (r *runner) deliverWork(wid int) {
 					backlog = true
 				}
 				sc.sentNow[slot] = false
-				buf = append(buf, Incoming{From: int(w), Payload: msg}) //sbw:allocok amortized: inboxes are double-buffered and recycled across rounds; steady-state capacity never grows
+				buf = append(buf, Incoming{From: int(w), Payload: msg}) //sbw:allocok amortized: each node's one inbox is recycled across rounds; steady-state capacity never grows
 				delivered = true
 				ws.Note(len(msg))
 			}
 			c.pending[wi].Store(keep)
 		}
-		c.inboxes[c.cur] = buf
+		c.inbox = buf
 		if backlog {
-			// Still dirty: carry the receiver into the next round's list
-			// (its rdirty flag stays set, so senders won't re-append it).
-			nlist[carried] = idx
+			// Still dirty: keep the receiver listed for the next round (its
+			// rdirty flag stays set, so senders won't re-append it).
+			list[carried] = idx
 			carried++
 		} else {
 			r.rdirty[idx].Store(false)
 		}
-		if delivered && c.waiting {
-			r.wokenByShard[wid] = append(r.wokenByShard[wid], c) //sbw:allocok amortized: per-shard woken list is reset, not reallocated, each round
+		if delivered && c.wake == wakeOnDelivery {
+			c.wake = r.round
+			sched.woken = append(sched.woken, c) //sbw:allocok amortized: the per-shard woken list is reset, not reallocated, each round
 		}
 	}
-	sw.count[next].Store(carried)
-	sw.count[side].Store(0)
-	sw.side = next
+	sw.count.Store(carried)
 }
 
-// deliverAll runs every shard's delivery inline on the round leader: the
-// single-shard fast path, the fast-forward path, and every round of a
-// checkpointing run (so the leader can stage the post-delivery state
-// before anyone wakes). Shards are processed in ascending order, which
-// together with the per-receiver ascending-sender walk makes the inline
-// path's observable effects identical to the pooled one.
-func (r *runner) deliverAll() {
-	for wid := range r.work {
-		r.deliverWork(wid)
+// stopAll ends every unfinished coroutine of the domain — a stopped
+// node's round call unwinds its program — and releases the domain's
+// scheduling state, whose lists would otherwise keep the domain's
+// arenas reachable after it finished.
+func (r *runner) stopAll() {
+	for _, v := range r.nodes {
+		c := r.ctxs[v]
+		if c.stop != nil {
+			c.stop()
+		}
+		c.resume, c.stop, c.yield = nil, nil, nil
 	}
+	r.sched = nil
 }
 
 // DomainStats is one lockstep domain's (connected component's) share of
@@ -1095,11 +906,15 @@ type DomainStats struct {
 // replicate the result — the components of a run are independent and
 // the simulation deterministic — use the per-domain breakdown to scale
 // traffic exactly.
+//
+// Each program runs as a coroutine that its domain's goroutine resumes
+// round by round, so a program may wait on another node's progress only
+// through the round calls (Next, SkipUntil, NextDelivery); see Ctx.
 func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, []DomainStats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workers < 0 || cfg.Workers > MaxWorkers {
 		return nil, nil, fmt.Errorf("%s: Workers=%d is not a usable worker count (want 0 for GOMAXPROCS, or 1..%d)",
-			cfg.Model, cfg.Workers, MaxWorkers)
+			model, cfg.Workers, MaxWorkers)
 	}
 	n := top.N()
 	if n == 0 {
@@ -1121,14 +936,14 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 	ctxs := make([]*Ctx, n)
 
 	// One lockstep domain per connected component of the topology: the
-	// components exchange no messages, so each runs its own barrier and
-	// pool and their Stats fold as parallel composition (max rounds,
+	// components exchange no messages, so each runs its own round loop
+	// and pool and their Stats fold as parallel composition (max rounds,
 	// summed traffic). Per-node behavior is unchanged — a node's round
-	// counter is its own barrier count either way.
+	// counter is its own domain's either way.
 	//
 	// Domains are causally independent, so the engine bounds how many run
 	// at once to GOMAXPROCS: on a single-processor host the components of
-	// a disconnected run execute back to back with their goroutine sets
+	// a disconnected run execute back to back with their coroutines
 	// cache-resident, and on a multiprocessor host they fill the
 	// processors. Node programs may only interact through edges (the
 	// model's contract), so delaying a domain's start is unobservable.
@@ -1150,10 +965,10 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 			cut := &cfg.Resume.Cuts[i]
 			ci, ok := compByRoot[cut.Root]
 			if !ok {
-				return nil, nil, fmt.Errorf("%s: resume: snapshot domain %d is not a component root of this topology", cfg.Model, cut.Root)
+				return nil, nil, fmt.Errorf("%s: resume: snapshot domain %d is not a component root of this topology", model, cut.Root)
 			}
 			if _, dup := resumeByRoot[cut.Root]; dup {
-				return nil, nil, fmt.Errorf("%s: resume: snapshot has two cuts for domain %d", cfg.Model, cut.Root)
+				return nil, nil, fmt.Errorf("%s: resume: snapshot has two cuts for domain %d", model, cut.Root)
 			}
 			if err := validateCut(cut, comps[ci], degreeOf, cfg); err != nil {
 				return nil, nil, err
@@ -1182,49 +997,27 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 			sem <- struct{}{}
 			defer func() { <-sem }()
 
-			// A resumed domain's barrier population is only its unfinished
-			// nodes; a fully finished domain (final cut) spawns nothing.
-			cut := resumeByRoot[comp[0]]
-			live := len(comp)
-			if cut != nil {
-				live = liveNodes(cut)
-			}
 			r := &runner{
-				nodes:  comp,
-				sh:     sh,
-				cfg:    cfg,
-				ctxs:   ctxs,
-				pool:   NewPoolSized(len(comp), shardMin, cfg.Workers),
-				active: int64(live),
-				ck:     cfg.Checkpoint,
+				nodes: comp,
+				sh:    sh,
+				cfg:   cfg,
+				ctxs:  ctxs,
+				pool:  NewPoolSized(len(comp), shardMin, cfg.Workers),
+				ck:    cfg.Checkpoint,
 			}
 			runners[ci] = r
 			nshards := r.pool.Shards()
-			r.pending.Store(int64(live))
-			r.releases = make([]chan struct{}, nshards)
-			for i := range r.releases {
-				r.releases[i] = make(chan struct{})
-			}
 			r.wstats = make([]WorkerStats, nshards)
 			r.dirty = make([]padCounter, nshards)
 			r.rdirty = make([]atomic.Bool, len(comp))
-			r.skipShards = make([]skipShard, nshards)
-			for i := range r.skipShards {
-				r.skipShards[i].at = make(map[int]*skipGroup)
-			}
-			// Each shard's worklist sides are sized to the shard: the
-			// rdirty CAS admits every owned receiver at most once per side.
+			r.sched = make([]shardSched, nshards)
+			// Each shard's worklist is sized to the shard: the rdirty CAS
+			// admits every owned receiver at most once.
 			r.work = make([]shardWork, nshards)
 			for i := range r.work {
 				lo, hi := r.pool.Bounds(i)
-				r.work[i].lists[0] = make([]int32, hi-lo)
-				r.work[i].lists[1] = make([]int32, hi-lo)
-			}
-			r.wokenByShard = make([][]*Ctx, nshards)
-			r.shardFns = make([]func(int), nshards)
-			for i := 0; i < nshards; i++ {
-				wid := i
-				r.shardFns[i] = func(int) { r.runShard(wid) }
+				r.work[i].list = make([]int32, hi-lo)
+				r.sched[i].cal = make(map[int][]*Ctx)
 			}
 			// Per-edge state is carved out of per-domain arenas indexed by
 			// the domain-local edge ID (the prefix-sum position of arc
@@ -1245,11 +1038,9 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 			outboxArena := make([]fifo, arcs)
 			sentNowArena := make([]bool, arcs)
 			pendingArena := make([]atomic.Uint64, pwOff[len(comp)])
-			inboxArena := make([]Incoming, 2*arcs)
+			inboxArena := make([]Incoming, arcs)
 			for idx, v := range comp {
-				// Widen before the inbox-carve arithmetic: 2*lo would wrap
-				// int32 from 2^30 domain arcs on.
-				lo, hi := int(domOff[idx]), int(domOff[idx+1])
+				lo, hi := domOff[idx], domOff[idx+1]
 				c := &ctxArena[idx]
 				c.r = r
 				c.id = int(v)
@@ -1260,11 +1051,10 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 				c.outbox = outboxArena[lo:hi:hi]
 				c.sentNow = sentNowArena[lo:hi:hi]
 				c.pending = pendingArena[pwOff[idx]:pwOff[idx+1]:pwOff[idx+1]]
-				// The two inbox halves start with capacity deg each; a
-				// SkipUntil that accumulates more re-slices off-arena via
-				// append, which is safe (the carve caps at the region end).
-				c.inboxes[0] = inboxArena[2*lo : 2*lo : lo+hi]
-				c.inboxes[1] = inboxArena[lo+hi : lo+hi : 2*hi]
+				// The inbox starts with capacity deg; a SkipUntil that
+				// accumulates more re-slices off-arena via append, which is
+				// safe (the carve caps at the region end).
+				c.inbox = inboxArena[lo:lo:hi]
 				ctxs[v] = c
 			}
 			// srcSlot[i] is this node's index in peer nbr[i]'s sorted
@@ -1281,7 +1071,7 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 					cursor[rd]++
 				}
 			}
-			if cut != nil {
+			if cut := resumeByRoot[comp[0]]; cut != nil {
 				r.restoreCut(cut)
 			}
 			// Seed the staged cut with the domain's start state (round 0,
@@ -1291,25 +1081,19 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 				r.stageCut()
 			}
 
-			var nodes sync.WaitGroup
-			nodes.Add(live)
+			// Every unfinished node runs in the domain's first round; a
+			// fully finished domain (final cut) starts nothing.
 			for _, v := range comp {
-				ctx := ctxs[v]
-				if ctx.commitDone {
+				c := ctxs[v]
+				if c.commitDone {
 					continue // finished in the resumed cut; never respawned
 				}
-				go func() {
-					defer nodes.Done()
-					defer ctx.r.leave()
-					defer func() {
-						if p := recover(); p != nil && !errors.Is(asErr(p), errAborted) {
-							sh.fail(fmt.Errorf("%s: node %d panicked: %v", cfg.Model, ctx.id, p))
-						}
-					}()
-					program(ctx)
-				}()
+				c.start(program)
+				sc := &r.sched[c.shard]
+				sc.awake = append(sc.awake, c)
+				sc.live++
 			}
-			nodes.Wait()
+			r.run()
 			r.pool.Close()
 			r.stats.MergeWorkers(r.wstats)
 			r.foldCharged(&r.stats)
@@ -1320,8 +1104,8 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 				r.finalCut()
 			}
 			// Messages queued by nodes that exited early are still delivered
-			// at later barriers; only messages left after the last node
-			// exits were truly dropped, which indicates a protocol bug.
+			// in later rounds; only messages left after the last node exits
+			// were truly dropped, which indicates a protocol bug.
 			for _, v := range comp {
 				if ctxs[v].Pending() {
 					undelivered[ci] = int(v)
@@ -1350,7 +1134,7 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 	if sh.err == nil {
 		for _, v := range undelivered {
 			if v >= 0 {
-				sh.err = fmt.Errorf("%s: node %d finished with undelivered queued messages", cfg.Model, v)
+				sh.err = fmt.Errorf("%s: node %d finished with undelivered queued messages", model, v)
 				break
 			}
 		}

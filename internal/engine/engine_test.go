@@ -92,7 +92,7 @@ func TestScatterMatchesSequentialAcrossShards(t *testing.T) {
 // graph, where every node exchanges with every other each round.
 func TestRunnerOnCompleteGraph(t *testing.T) {
 	const n, rounds = 48, 5
-	st, err := engine.Run(graph.Complete(n), engine.Config{Model: "clique"}, func(ctx *engine.Ctx) {
+	st, err := engine.Run(graph.Complete(n), engine.Config{}, func(ctx *engine.Ctx) {
 		if ctx.Degree() != n-1 {
 			t.Errorf("node %d degree %d, want %d", ctx.ID(), ctx.Degree(), n-1)
 		}
@@ -122,7 +122,7 @@ func TestRunnerOnCompleteGraph(t *testing.T) {
 // cap) as model violations.
 func TestChargeTraffic(t *testing.T) {
 	const n = 4
-	st, err := engine.Run(graph.Complete(n), engine.Config{Model: "congest"}, func(ctx *engine.Ctx) {
+	st, err := engine.Run(graph.Complete(n), engine.Config{}, func(ctx *engine.Ctx) {
 		ctx.ChargeTraffic(10, 40, 4)
 		ctx.ChargeTraffic(0, 0, 99) // zero charge: width not even validated
 		ctx.Next()
@@ -137,29 +137,14 @@ func TestChargeTraffic(t *testing.T) {
 		t.Fatalf("charged width not folded: %+v", st)
 	}
 
-	if _, err := engine.Run(graph.Complete(2), engine.Config{Model: "congest"}, func(ctx *engine.Ctx) {
+	if _, err := engine.Run(graph.Complete(2), engine.Config{}, func(ctx *engine.Ctx) {
 		ctx.ChargeTraffic(-1, 0, 1)
 	}); err == nil {
 		t.Fatal("negative charge accepted")
 	}
-	if _, err := engine.Run(graph.Complete(2), engine.Config{Model: "congest", MaxWords: 4}, func(ctx *engine.Ctx) {
+	if _, err := engine.Run(graph.Complete(2), engine.Config{MaxWords: 4}, func(ctx *engine.Ctx) {
 		ctx.ChargeTraffic(1, 5, 5)
 	}); err == nil {
 		t.Fatal("charge wider than the bandwidth cap accepted")
-	}
-}
-
-// TestRunnerModelPrefix checks that violations report in the configured
-// model's vocabulary.
-func TestRunnerModelPrefix(t *testing.T) {
-	_, err := engine.Run(graph.Complete(3), engine.Config{Model: "clique", MaxWords: 1}, func(ctx *engine.Ctx) {
-		ctx.Send(int(ctx.Neighbors()[0]), engine.Message{1, 2, 3})
-		ctx.Next()
-	})
-	if err == nil {
-		t.Fatal("oversized message accepted")
-	}
-	if got := err.Error(); len(got) < 7 || got[:7] != "clique:" {
-		t.Fatalf("error not in model vocabulary: %v", err)
 	}
 }

@@ -83,12 +83,12 @@ func (s *Stats) MergeWorkers(ws []WorkerStats) {
 
 // Pool is a fixed set of shard workers owning disjoint endpoint ranges
 // [Bounds(i)). It is the one copy of the parallel substrate shared by
-// the three model simulators: the CONGEST runner drives it with custom
-// per-round tasks (delivery + batched wake-up), while the CLIQUE and MPC
-// simulators use the ForEach/Scatter passes. A single-shard pool (small
-// endpoint count, GOMAXPROCS=1) starts no goroutines and runs everything
-// inline, so the sequential path and the parallel path are the same
-// code.
+// the three model simulators: the CONGEST runner resumes a busy round's
+// nodes and delivers its messages through ForEach passes, one shard per
+// worker, while the CLIQUE and MPC simulators use the ForEach/Scatter
+// passes. A single-shard pool (small endpoint count, GOMAXPROCS=1)
+// starts no goroutines and runs everything inline, so the sequential
+// path and the parallel path are the same code.
 type Pool struct {
 	n       int
 	nshards int
@@ -140,17 +140,6 @@ func (p *Pool) Bounds(i int) (lo, hi int) { return p.bounds[i], p.bounds[i+1] }
 // ShardOf returns the shard owning endpoint v.
 func (p *Pool) ShardOf(v int) int {
 	return sort.Search(p.nshards, func(i int) bool { return p.bounds[i+1] > v })
-}
-
-// Submit hands fn to worker wid (inline on a single-shard pool). The
-// caller is responsible for any completion synchronization; ForEach and
-// Scatter are the self-synchronizing passes.
-func (p *Pool) Submit(wid int, fn func(wid int)) {
-	if p.tasks == nil {
-		fn(0)
-		return
-	}
-	p.tasks[wid] <- fn
 }
 
 // ForEach runs fn once per shard over its endpoint range, in parallel,

@@ -128,31 +128,17 @@ func restorePipeline(inst *graph.Instance, d *Decomposition, cp *PipelineCheckpo
 }
 
 // EncodeCheckpoint serializes a pipeline checkpoint into the versioned
-// snapshot container: options fingerprint, CSR graph dump, the original
-// color lists, and the class-boundary state in the algorithm section.
-// The encoding is canonical: decode followed by encode reproduces the
-// bytes exactly.
+// snapshot container: core's checkpoint header (options fingerprint,
+// CSR graph dump, the original color lists) and the class-boundary
+// state in the algorithm section. The encoding is canonical: decode
+// followed by encode reproduces the bytes exactly.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	var meta snapshot.Enc
-	meta.Blob([]byte(decompCheckpointModel))
-	meta.Uvarint(uint64(cp.Opts.MaxWords))
-	meta.Uvarint(uint64(cp.Opts.MaxRounds))
-	meta.Uvarint(uint64(cp.Opts.MaxIterations))
-	meta.Bool(cp.Opts.HighAccuracy)
-	var g snapshot.Enc
-	snapshot.EncodeGraph(&g, cp.Inst.G)
-	var lists snapshot.Enc
-	snapshot.EncodeLists(&lists, cp.Inst.C, cp.Inst.Lists)
 	var algo snapshot.Enc
 	encodePipelineState(&algo, cp.State)
 	return snapshot.Encode(&snapshot.Container{
 		Version: snapshot.Version,
-		Sections: []snapshot.Section{
-			{ID: snapshot.SecMeta, Data: meta.Bytes()},
-			{ID: snapshot.SecGraph, Data: g.Bytes()},
-			{ID: snapshot.SecLists, Data: lists.Bytes()},
-			{ID: snapshot.SecAlgo, Data: algo.Bytes()},
-		},
+		Sections: append(core.EncodeCheckpointHeader(decompCheckpointModel, cp.Inst, cp.Opts),
+			snapshot.Section{ID: snapshot.SecAlgo, Data: algo.Bytes()}),
 	})
 }
 
@@ -194,72 +180,16 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	section := func(id uint32, name string) (*snapshot.Dec, error) {
-		data := c.Find(id)
-		if data == nil {
-			return nil, fmt.Errorf("netdecomp: checkpoint lacks its %s section", name)
-		}
-		return snapshot.NewDec(data), nil
-	}
-
-	md, err := section(snapshot.SecMeta, "meta")
+	inst, opts, err := core.DecodeCheckpointHeader(c, decompCheckpointModel, "netdecomp")
 	if err != nil {
 		return nil, err
 	}
-	model := string(md.Blob())
-	maxWords := md.Uvarint()
-	maxRounds := md.Uvarint()
-	maxIter := md.Uvarint()
-	high := md.Bool()
-	if err := md.Close(); err != nil {
-		return nil, err
+	data := c.Find(snapshot.SecAlgo)
+	if data == nil {
+		return nil, errors.New("netdecomp: checkpoint lacks its pipeline state section")
 	}
-	if model != decompCheckpointModel {
-		return nil, fmt.Errorf("netdecomp: checkpoint fingerprint %q, this decoder reads %q", model, decompCheckpointModel)
-	}
-	if maxWords > math.MaxInt32 || maxRounds > math.MaxInt32 || maxIter > math.MaxInt32 {
-		return nil, errors.New("netdecomp: checkpoint option fields out of range")
-	}
-	opts := core.Options{
-		MaxWords:      int(maxWords),
-		MaxRounds:     int(maxRounds),
-		MaxIterations: int(maxIter),
-		HighAccuracy:  high,
-	}
-
-	gd, err := section(snapshot.SecGraph, "graph")
-	if err != nil {
-		return nil, err
-	}
-	g, err := snapshot.DecodeGraph(gd)
-	if err != nil {
-		return nil, err
-	}
-	if err := gd.Close(); err != nil {
-		return nil, err
-	}
-
-	ld, err := section(snapshot.SecLists, "lists")
-	if err != nil {
-		return nil, err
-	}
-	cc, origLists, err := snapshot.DecodeLists(ld)
-	if err != nil {
-		return nil, err
-	}
-	if err := ld.Close(); err != nil {
-		return nil, err
-	}
-	inst := &graph.Instance{G: g, C: cc, Lists: origLists}
-	if err := inst.Validate(); err != nil {
-		return nil, fmt.Errorf("netdecomp: checkpoint instance invalid: %w", err)
-	}
-
-	ad, err := section(snapshot.SecAlgo, "pipeline state")
-	if err != nil {
-		return nil, err
-	}
-	state, err := decodePipelineState(ad, g.N(), cc)
+	ad := snapshot.NewDec(data)
+	state, err := decodePipelineState(ad, inst.G.N(), inst.C)
 	if err != nil {
 		return nil, err
 	}
