@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smallbandwidth/internal/engine"
+	"smallbandwidth/internal/gf2"
 	"smallbandwidth/internal/graph"
 )
 
@@ -227,6 +228,37 @@ func TestLeafCountsAndSubtrees(t *testing.T) {
 	filtered := filterByPath(append([]uint32(nil), cands...), 3, 2, 0b11)
 	if len(filtered) != 2 || filtered[0] != 0b1100 {
 		t.Errorf("filterByPath wrong: %v", filtered)
+	}
+}
+
+// TestEdgeExpAllocFree: with both endpoints' path-coin tables built, a
+// conflict edge's evaluation over a 2-bit batch (four-coin survival
+// events, some negated) allocates nothing.
+func TestEdgeExpAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops cached objects under -race; allocation counts are meaningless")
+	}
+	const w, b = 2, 9
+	fam := gf2.MustFamily(w*b, 2)
+	u := &clqNode{id: 3, cands: []uint32{0b0000, 0b0100, 0b1000, 0b1100, 0b1101}, conflict: []int32{8}}
+	v := &clqNode{id: 8, cands: []uint32{0b0001, 0b0101, 0b1100, 0b1110}, conflict: []int32{3}}
+	st := &cliqueRun{nodes: make([]*clqNode, 9), events: make([]gf2.CoinEvent, 2*w)}
+	for _, nd := range []*clqNode{u, v} {
+		st.nodes[nd.id] = nd
+		nd.counts = leafCounts(nd.cands, 3, w)
+		if err := nd.buildPathCoins(fam, b, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u.nbrK = v.counts
+	bs := gf2.NewBasis()
+	bs.FixBit(0, true)
+	bs.FixBit(5, false)
+	if e := st.edgeExp(bs, u, 0, w); e <= 0 {
+		t.Fatalf("edge expectation %v, want > 0", e)
+	}
+	if n := testing.AllocsPerRun(100, func() { st.edgeExp(bs, u, 0, w) }); n != 0 {
+		t.Fatalf("edgeExp allocates %v per call", n)
 	}
 }
 

@@ -56,8 +56,12 @@ type clqNode struct {
 	nbrs     []int32
 	aliveNbr []int32 // still-uncolored G-neighbors, sorted
 	conflict []int32 // conflict neighbors of the current iteration, sorted
-	nbrK     map[int][]uint64
 	phi      int
+
+	// Per batch of w prefix bits (runBatch):
+	counts []uint64   // K(p) of the node's candidates for each w-bit path p
+	nbrK   []uint64   // K(p) each conflict neighbor sent, 2^w per neighbor in conflict order
+	coins  []gf2.Coin // path coins: the t-bit prefix q's at index 2^t − 1 + q
 }
 
 // ListColorClique solves the (degree+1)-list-coloring instance in the
@@ -170,6 +174,9 @@ type cliqueRun struct {
 	delta int
 	c     uint32
 	opts  Options
+
+	bases  []gf2.Basis     // a segment's conditioned bases, one per assignment
+	events []gf2.CoinEvent // edgeExp's survival event: 2w coins
 }
 
 // statusRounds aggregates (uncolored count, max uncolored degree) at the
@@ -300,6 +307,9 @@ func (nd *clqNode) keepColor() {
 // runBatch fixes the w prefix bits at positions
 // [logC−fixed−w, logC−fixed) for every alive node, derandomizing the
 // shared seed segment by segment with 2^λ responsible nodes per segment.
+// Each alive node's path coins are built once per batch, and each
+// segment's 2^λ conditioned bases once per segment; the per-edge
+// evaluation of every assignment only reads them.
 func (st *cliqueRun) runBatch(w, fixed int) error {
 	m := max(st.a, w*st.b)
 	if m > 63 {
@@ -313,13 +323,17 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 	hi := st.logC - fixed - 1 // most significant bit of this batch
 	paths := 1 << w
 
-	// Leaf counts K(p) and their exchange with conflict neighbors.
+	// Leaf counts K(p), path coins, and the counts' exchange with
+	// conflict neighbors.
 	for _, nd := range st.nodes {
-		nd.nbrK = map[int][]uint64{}
 		if !nd.alive {
 			continue
 		}
-		nd.nbrK[nd.id] = leafCounts(nd.cands, hi, w)
+		nd.counts = leafCounts(nd.cands, hi, w)
+		nd.nbrK = make([]uint64, len(nd.conflict)*paths)
+		if err := nd.buildPathCoins(fam, st.b, w); err != nil {
+			return err
+		}
 	}
 	chunk := st.sim.maxWords - 1
 	for off := 0; off < paths; off += chunk {
@@ -331,7 +345,7 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 			}
 			msg := make(Message, 0, 1+end-off)
 			msg = append(msg, uint64(off))
-			msg = append(msg, nd.nbrK[nd.id][off:end]...)
+			msg = append(msg, nd.counts[off:end]...)
 			for _, u := range nd.conflict {
 				out[v] = append(out[v], Directed{To: u, Payload: msg})
 			}
@@ -342,24 +356,33 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 		}
 		for v, nd := range st.nodes {
 			for _, rm := range in[v] {
-				if !graph.SortedHas(nd.conflict, rm.From) {
-					continue
+				if j, ok := slices.BinarySearch(nd.conflict, int32(rm.From)); ok {
+					copy(nd.nbrK[j*paths+int(rm.Payload[0]):], rm.Payload[1:])
 				}
-				if nd.nbrK[rm.From] == nil {
-					nd.nbrK[rm.From] = make([]uint64, paths)
-				}
-				copy(nd.nbrK[rm.From][rm.Payload[0]:], rm.Payload[1:])
 			}
 		}
 	}
 
 	// Derandomize the seed segment by segment.
 	lambda := max(1, min(min(bits.Len(uint(st.n))-1, d), st.opts.LambdaCap))
+	if len(st.bases) < 1<<lambda {
+		st.bases = make([]gf2.Basis, 1<<lambda)
+	}
+	st.events = make([]gf2.CoinEvent, 2*w)
 	basis := gf2.NewBasis()
 	var seed gf2.Vec128
 	for segStart := 0; segStart < d; segStart += lambda {
 		segW := min(lambda, d-segStart)
 		nAssign := 1 << segW
+		// The conditioned bases, built once for every node to read:
+		// the bits chosen so far plus assignment r's bits.
+		bases := st.bases[:nAssign]
+		for r := range bases {
+			bs := basis.CloneInto(&bases[r])
+			for t := 0; t < segW; t++ {
+				bs.FixBit(segStart+t, r>>uint(t)&1 == 1)
+			}
+		}
 
 		// Every node evaluates its owned conflict edges for every
 		// candidate assignment and sends each value to its responsible
@@ -370,17 +393,12 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 		for v, nd := range st.nodes {
 			vals := make([]float64, nAssign)
 			if nd.alive {
-				for r := 0; r < nAssign; r++ {
-					bs := basis.Clone()
-					for t := 0; t < segW; t++ {
-						bs.FixBit(segStart+t, r>>uint(t)&1 == 1)
-					}
-					for _, u32 := range nd.conflict {
-						u := int(u32)
-						if u < v {
+				for r := range vals {
+					for j, u := range nd.conflict {
+						if int(u) < v {
 							continue // owner is the smaller endpoint
 						}
-						vals[r] += st.edgeExp(bs, fam, nd, u, w)
+						vals[r] += st.edgeExp(&bases[r], nd, j, w)
 					}
 				}
 			}
@@ -445,15 +463,8 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 			continue
 		}
 		path := uint64(0)
-		counts := nd.nbrK[nd.id]
 		for t := 0; t < w; t++ {
-			den := subtreeCount(counts, w, int(path), t)
-			num := subtreeCount(counts, w, int(path<<1|1), t+1)
-			coin, err := gf2.NewCoinFromForms(
-				fam.WindowForms(uint64(nd.id), m-(t+1)*st.b, st.b), num, den)
-			if err != nil {
-				return fmt.Errorf("clique: node %d sequential coin: %w", v, err)
-			}
+			coin := nd.coins[1<<t-1+int(path)]
 			path <<= 1
 			if coin.Value(seed) {
 				path |= 1
@@ -487,48 +498,59 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 	return nil
 }
 
-// edgeExp computes E[X_e | basis] for the conflict edge (nd.id, u) over
-// the w-bit batch: survival requires both endpoints to pick the same
-// path, and each path contributes the reciprocal surviving list sizes.
-func (st *cliqueRun) edgeExp(bs *gf2.Basis, fam *gf2.Family, nd *clqNode, u, w int) float64 {
+// buildPathCoins fills the node's path-coin table for a w-bit batch
+// from its leaf counts. Depth t's coins share the window forms of hash
+// bits [m−(t+1)·b, m−t·b) of the node's ID; the coin of the t-bit prefix
+// q shows 1 with probability S(q1)/S(q), and a prefix with no
+// candidates (S(q) = 0) gets none. These are the coins the node flips at
+// the end of the batch, and the coins its conflict neighbors would build
+// from the counts it sends them, so an edge's owner reads them here.
+func (nd *clqNode) buildPathCoins(fam *gf2.Family, b, w int) error {
 	m := fam.Field().M()
-	ku := nd.nbrK[nd.id]
-	kv := nd.nbrK[u]
-	if kv == nil {
-		return 0
+	nd.coins = make([]gf2.Coin, 1<<w-1)
+	for t := 0; t < w; t++ {
+		forms := fam.WindowForms(uint64(nd.id), m-(t+1)*b, b)
+		for q := 0; q < 1<<t; q++ {
+			den := subtreeCount(nd.counts, w, q, t)
+			if den == 0 {
+				continue
+			}
+			num := subtreeCount(nd.counts, w, q<<1|1, t+1)
+			coin, err := gf2.NewCoinFromForms(forms, num, den)
+			if err != nil {
+				return fmt.Errorf("clique: node %d path coin: %w", nd.id, err)
+			}
+			nd.coins[1<<t-1+q] = coin
+		}
 	}
+	return nil
+}
+
+// edgeExp computes E[X_e | bs] for the conflict edge between nd and its
+// j-th conflict neighbor u over the w-bit batch: survival requires both
+// endpoints to pick the same path, and each path contributes the
+// reciprocal surviving list sizes. u's leaf counts are the ones it sent;
+// both endpoints' coins come from their path-coin tables.
+//
+//sbw:allocfree Theorem 1.3 batch kernel: one call per owned conflict edge per assignment
+func (st *cliqueRun) edgeExp(bs *gf2.Basis, nd *clqNode, j, w int) float64 {
+	paths := 1 << w
+	ku := nd.counts
+	kv := nd.nbrK[j*paths : (j+1)*paths]
+	cu, cv := nd.coins, st.nodes[nd.conflict[j]].coins
+	events := st.events
 	total := 0.0
-	events := make([]gf2.CoinEvent, 0, 2*w)
-	for p := 0; p < 1<<w; p++ {
+	for p := 0; p < paths; p++ {
 		if ku[p] == 0 || kv[p] == 0 {
 			continue
 		}
-		events = events[:0]
-		ok := true
-		for t := 0; t < w && ok; t++ {
-			prefix := p >> uint(w-t) // first t bits of p
+		// Every prefix of p has candidates on both sides, so every coin
+		// on the path exists.
+		for t := 0; t < w; t++ {
+			q := 1<<t - 1 + p>>uint(w-t) // the table index of p's first t bits
 			want := p>>uint(w-1-t)&1 == 1
-			for side, id := range [2]int{nd.id, u} {
-				counts := ku
-				if side == 1 {
-					counts = kv
-				}
-				den := subtreeCount(counts, w, prefix, t)
-				num := subtreeCount(counts, w, prefix<<1|1, t+1)
-				if den == 0 {
-					ok = false
-					break
-				}
-				coin, err := gf2.NewCoinFromForms(
-					fam.WindowForms(uint64(id), m-(t+1)*st.b, st.b), num, den)
-				if err != nil {
-					panic(err)
-				}
-				events = append(events, gf2.CoinEvent{Coin: coin, Want: want})
-			}
-		}
-		if !ok {
-			continue
+			events[2*t] = gf2.CoinEvent{Coin: cu[q], Want: want}
+			events[2*t+1] = gf2.CoinEvent{Coin: cv[q], Want: want}
 		}
 		if pr := gf2.ProbConj(bs, events); pr > 0 {
 			// float64() rounds the product, so no GOARCH fuses it into

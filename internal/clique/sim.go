@@ -10,12 +10,15 @@
 // in per-node structs and moves information only through
 // Exchange/RouteAll, so the model's information constraints hold by
 // construction and every claimed O(1)-round step is paid for
-// explicitly). Both primitives run on the shared sharded round engine
-// (internal/engine): outboxes are flat slices of directed messages, and
-// an engine.Scatter pass moves them — sender-sharded routing, then
-// receiver-sharded delivery in ascending sender order with per-worker
-// stats — so delivery is allocation-lean and bit-for-bit independent of
-// the worker count.
+// explicitly). One structure is shared: an edge's owner reads its
+// neighbor's path coins from the neighbor's table (runBatch) instead of
+// rebuilding them from the neighbor's ID and the leaf counts it
+// received, which determine them. Both primitives run on the shared
+// sharded round engine (internal/engine): outboxes are flat slices of
+// directed messages, and an engine.Scatter pass moves them —
+// sender-sharded routing, then receiver-sharded delivery in ascending
+// sender order with per-worker stats — so delivery is allocation-lean
+// and bit-for-bit independent of the worker count.
 //
 // Lenzen's deterministic routing theorem [Len13] is modeled by RouteAll:
 // the primitive checks its precondition (every node sends at most n and

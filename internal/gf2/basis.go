@@ -5,10 +5,11 @@ import (
 	"sync"
 )
 
-// basisPool recycles the scratch bases that ProbLess/ProbBothLess clone
-// on every call: the conditional-expectation inner loop evaluates these
-// millions of times per run, and pooling the row storage removes the
-// dominant allocation of the whole derandomization.
+// basisPool recycles the scratch bases that ProbLess,
+// ProbBothLessMarginal and ProbConj clone on every call: the
+// conditional-expectation inner loops evaluate these millions of times
+// per run, and pooling the row storage removes the dominant allocation
+// of the whole derandomization.
 var basisPool = sync.Pool{New: func() any { return new(Basis) }}
 
 func cloneFromPool(bs *Basis) *Basis {
@@ -264,17 +265,6 @@ func probLessInPlace(w *Basis, forms []Form, t uint64) float64 {
 		}
 	}
 	return prob
-}
-
-// ProbBothLess returns Pr[val(fu) < tu ∧ val(fv) < tv | basis event].
-// It decomposes the first event into prefix-disjoint affine events and
-// evaluates ProbLess for the second under each; exact, O(b³) word ops.
-func ProbBothLess(bs *Basis, fu []Form, tu uint64, fv []Form, tv uint64) float64 {
-	if tu == 0 || tv == 0 {
-		return 0
-	}
-	_, pboth := ProbBothLessMarginal(bs, fu, tu, fv, tv)
-	return pboth
 }
 
 // ProbBothLessMarginal returns both Pr[val(fu) < tu | basis event] and

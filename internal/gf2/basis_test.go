@@ -42,6 +42,17 @@ func (bs *Basis) Rank() int {
 	return bits.OnesCount64(bs.fixedMask.Lo) + bits.OnesCount64(bs.fixedMask.Hi) + len(bs.rows)
 }
 
+// ProbBothLess returns Pr[val(fu) < tu ∧ val(fv) < tv | basis event]:
+// the joint half of ProbBothLessMarginal, kept as the pair oracle of the
+// basis, coin, conj and hotpath tests.
+func ProbBothLess(bs *Basis, fu []Form, tu uint64, fv []Form, tv uint64) float64 {
+	if tu == 0 || tv == 0 {
+		return 0
+	}
+	_, pboth := ProbBothLessMarginal(bs, fu, tu, fv, tv)
+	return pboth
+}
+
 func TestBasisCloneIndependence(t *testing.T) {
 	bs := NewBasis()
 	bs.FixBit(3, true)

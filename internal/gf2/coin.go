@@ -59,16 +59,12 @@ func (c Coin) ProbOne(bs *Basis) float64 {
 	return ProbLess(bs, c.forms, c.t)
 }
 
-// ProbBothOne returns Pr[C1 = 1 ∧ C2 = 1 | basis event] exactly.
-func ProbBothOne(bs *Basis, c1, c2 Coin) float64 {
-	return ProbBothLess(bs, c1.forms, c1.t, c2.forms, c2.t)
-}
-
 // ProbOneAndBothOne returns (Pr[C1 = 1], Pr[C1 = 1 ∧ C2 = 1]) under the
 // basis event, sharing one walk of C1's threshold decomposition — the
 // per-edge evaluation of the conditional-expectation loop needs both,
-// and the joint walk visits exactly the marginal's atoms anyway. Both
-// values are bit-identical to the separate queries.
+// and the joint walk visits exactly the marginal's atoms anyway. The
+// marginal is bit-identical to ProbOne, and the joint to a walk of the
+// joint event alone.
 func ProbOneAndBothOne(bs *Basis, c1, c2 Coin) (p1, p11 float64) {
 	return ProbBothLessMarginal(bs, c1.forms, c1.t, c2.forms, c2.t)
 }
@@ -80,18 +76,36 @@ type CoinEvent struct {
 }
 
 // ProbConj returns Pr[∧ᵢ (Cᵢ = Wantᵢ) | basis event] exactly for an
-// arbitrary set of coins. Want = true decomposes {val < T} into
+// arbitrary set of coins: the multi-coin survival events of the
+// clique's multi-bit batches. Want = true decomposes {val < T} into
 // prefix-disjoint affine events and recurses; Want = false uses
-// Pr[rest ∧ C=0] = Pr[rest] − Pr[rest ∧ C=1]. Generalizes ProbBothOne to
-// the multi-coin survival events of the clique/MPC multi-bit phases.
+// Pr[rest ∧ C=0] = Pr[rest] − Pr[rest ∧ C=1]. The basis is not
+// modified.
+//
+//sbw:allocfree Theorem 1.3 batch kernel: one survival event per owned conflict edge per path per assignment
 func ProbConj(bs *Basis, events []CoinEvent) float64 {
+	return probConj(bs, events, false)
+}
+
+// probConj is the ProbConj walk. With flip set it reads events[0].Want
+// as true: the negation rule's second term, without a flipped copy of
+// the event slice. It only reads bs: the prefix constraints accumulate
+// in a basis from basisPool, and each atom shares that basis's
+// reduction of its form, as probLessInPlace does. A redundant atom adds
+// no constraint, so the continuation reads the walk basis itself; an
+// independent one gets a pooled copy with the atom added. Terms add in
+// the order of a walk that clones the basis for every atom
+// (probConjRef in the tests), so the results are bit-identical to it;
+// the float rule is at probLessInPlace.
+//
+//sbw:allocfree Theorem 1.3 batch kernel: the recursion under ProbConj
+func probConj(bs *Basis, events []CoinEvent, flip bool) float64 {
 	if len(events) == 0 {
 		return 1
 	}
 	ev, rest := events[0], events[1:]
-	if !ev.Want {
-		flipped := append([]CoinEvent{{Coin: ev.Coin, Want: true}}, rest...)
-		p := ProbConj(bs, rest) - ProbConj(bs, flipped)
+	if !ev.Want && !flip {
+		p := probConj(bs, rest, false) - probConj(bs, events, true)
 		if p < 0 {
 			return 0
 		}
@@ -102,31 +116,36 @@ func ProbConj(bs *Basis, events []CoinEvent) float64 {
 		return 0
 	}
 	if c.t >= uint64(1)<<c.b {
-		return ProbConj(bs, rest)
+		return probConj(bs, rest, false)
 	}
-	w := bs.Clone()
+	w := cloneFromPool(bs)
 	prob := 0.0
 	condProb := 1.0
 	for idx, fo := range c.forms {
 		bitPos := c.b - 1 - idx
 		tj := c.t&(1<<bitPos) != 0
+		mask, rhs := w.reduce(fo.Mask, fo.Const) // rhs of the event "form = 0"
 		if tj {
-			w2 := w.Clone()
-			switch w2.Add(fo, false) {
-			case Independent:
-				prob += condProb * 0.5 * ProbConj(w2, rest)
-			case Redundant:
-				prob += condProb * ProbConj(w2, rest)
-			case Inconsistent:
+			if mask.IsZero() {
+				if !rhs {
+					prob += condProb * probConj(w, rest, false)
+				}
+			} else {
+				w2 := cloneFromPool(w)
+				w2.addReduced(mask, rhs, false)
+				prob += condProb * 0.5 * probConj(w2, rest, false)
+				releaseBasis(w2)
 			}
 		}
-		switch w.Add(fo, tj) {
+		switch w.addReduced(mask, rhs, tj) {
 		case Independent:
 			condProb *= 0.5
 		case Redundant:
 		case Inconsistent:
+			releaseBasis(w)
 			return prob
 		}
 	}
+	releaseBasis(w)
 	return prob
 }

@@ -7,6 +7,13 @@ import (
 	"smallbandwidth/internal/prng"
 )
 
+// ProbBothOne returns Pr[C1 = 1 ∧ C2 = 1 | basis event] exactly: the
+// pair oracle that ProbOneAndBothOne's joint half and ProbConj's
+// two-coin case are checked against.
+func ProbBothOne(bs *Basis, c1, c2 Coin) float64 {
+	return ProbBothLess(bs, c1.forms, c1.t, c2.forms, c2.t)
+}
+
 func TestNewCoinValidation(t *testing.T) {
 	fam := MustFamily(8, 2)
 	if _, err := NewCoin(fam, 1, 8, 3, 0); err == nil {

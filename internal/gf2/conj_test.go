@@ -129,3 +129,139 @@ func TestProbConjReducesToPairQueries(t *testing.T) {
 		t.Error("empty conjunction != 1")
 	}
 }
+
+// probConjRef is the clone-per-atom ProbConj walk the pooled walk
+// replaced: every atom gets a fresh clone of the walk basis, and a
+// negated event builds a flipped copy of the event slice. It is the
+// bitwise oracle of TestProbConjMatchesRef. atoms, if not nil, counts
+// the atoms by their AddResult.
+func probConjRef(bs *Basis, events []CoinEvent, atoms *[Inconsistent + 1]int) float64 {
+	if len(events) == 0 {
+		return 1
+	}
+	ev, rest := events[0], events[1:]
+	if !ev.Want {
+		flipped := append([]CoinEvent{{Coin: ev.Coin, Want: true}}, rest...)
+		p := probConjRef(bs, rest, atoms) - probConjRef(bs, flipped, atoms)
+		if p < 0 {
+			return 0
+		}
+		return p
+	}
+	c := ev.Coin
+	if c.t == 0 {
+		return 0
+	}
+	if c.t >= uint64(1)<<c.b {
+		return probConjRef(bs, rest, atoms)
+	}
+	w := bs.Clone()
+	prob := 0.0
+	condProb := 1.0
+	for idx, fo := range c.forms {
+		bitPos := c.b - 1 - idx
+		tj := c.t&(1<<bitPos) != 0
+		if tj {
+			w2 := w.Clone()
+			res := w2.Add(fo, false)
+			if atoms != nil {
+				atoms[res]++
+			}
+			switch res {
+			case Independent:
+				prob += condProb * 0.5 * probConjRef(w2, rest, atoms)
+			case Redundant:
+				prob += condProb * probConjRef(w2, rest, atoms)
+			case Inconsistent:
+			}
+		}
+		switch w.Add(fo, tj) {
+		case Independent:
+			condProb *= 0.5
+		case Redundant:
+		case Inconsistent:
+			return prob
+		}
+	}
+	return prob
+}
+
+// randomConjCase draws 1–4 coins over windows of a few hash inputs, so
+// that coins share forms, with mixed Want, and a basis of fixed bits
+// and general rows: the atoms of the walk are then independent,
+// redundant and inconsistent.
+func randomConjCase(t *testing.T, src *prng.Source, fam *Family) (*Basis, []CoinEvent) {
+	t.Helper()
+	m, d := fam.Field().M(), fam.SeedBits()
+	events := make([]CoinEvent, 1+src.Intn(4))
+	for i := range events {
+		x := src.Uint64() & 3
+		lo := src.Intn(m - 1)
+		width := 1 + src.Intn(m-lo)
+		den := uint64(1 + src.Intn(7))
+		num := uint64(src.Intn(int(den) + 1))
+		coin, err := NewCoinFromForms(fam.WindowForms(x, lo, width), num, den)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events[i] = CoinEvent{Coin: coin, Want: src.Uint64()&1 == 1}
+	}
+	bs := NewBasis()
+	for i := 0; i < d; i++ {
+		if src.Intn(4) == 0 {
+			bs.FixBit(i, src.Uint64()&1 == 1)
+		}
+	}
+	for r := src.Intn(3); r > 0; r-- {
+		mask := src.Uint64() & (uint64(1)<<d - 1)
+		bs.Add(Form{Mask: VecFromUint64(mask), Const: src.Uint64()&1 == 1}, src.Uint64()&1 == 1)
+	}
+	return bs, events
+}
+
+// TestProbConjMatchesRef requires the pooled walk to return exactly the
+// clone-per-atom walk's bits on random event sets, and checks that the
+// sets reach every kind of atom.
+func TestProbConjMatchesRef(t *testing.T) {
+	src := prng.New(77)
+	var atoms [Inconsistent + 1]int
+	for _, m := range []int{4, 5} {
+		fam := MustFamily(m, 2)
+		for trial := 0; trial < 2000; trial++ {
+			bs, events := randomConjCase(t, src, fam)
+			want := probConjRef(bs, events, &atoms)
+			if got := ProbConj(bs, events); got != want {
+				t.Fatalf("m=%d trial %d (%d events): ProbConj %v, reference %v", m, trial, len(events), got, want)
+			}
+		}
+	}
+	for _, res := range []AddResult{Independent, Redundant, Inconsistent} {
+		if atoms[res] == 0 {
+			t.Errorf("no atom classified %v: the cases do not cover the walk", res)
+		}
+	}
+}
+
+// TestProbConjAllocFree: with the basis pool warm, a four-coin
+// conjunction with negated events allocates nothing.
+func TestProbConjAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops cached objects under -race; allocation counts are meaningless")
+	}
+	fam := MustFamily(12, 2)
+	var events []CoinEvent
+	for i, x := range []uint64{5, 9, 5, 9} {
+		coin, err := NewCoinFromForms(fam.WindowForms(x, 3*(i/2), 3), uint64(2+i), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, CoinEvent{Coin: coin, Want: i%3 != 0})
+	}
+	bs := NewBasis()
+	bs.FixBit(0, true)
+	bs.FixBit(5, false)
+	bs.Add(Form{Mask: UnitVec(1).Xor(UnitVec(7))}, true)
+	if n := testing.AllocsPerRun(100, func() { ProbConj(bs, events) }); n != 0 {
+		t.Fatalf("ProbConj allocates %v per call", n)
+	}
+}

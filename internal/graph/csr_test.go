@@ -12,6 +12,12 @@ import (
 	"testing"
 )
 
+// SortedHas reports whether the sorted node-ID slice a contains x.
+func SortedHas(a []int32, x int) bool {
+	_, ok := slices.BinarySearch(a, int32(x))
+	return ok
+}
+
 // refGraph is the pre-CSR reference layout: one sorted slice per node.
 type refGraph struct {
 	n   int

@@ -104,18 +104,10 @@ func (g *Graph) Equal(h *Graph) bool {
 	return g.n == h.n && slices.Equal(g.off, h.off) && slices.Equal(g.nbr, h.nbr)
 }
 
-// SortedHas reports whether the sorted node-ID slice a contains x.
-// Together with SortedRemove it is the shared toolkit for the sorted
-// neighbor-set slices the model simulators keep per node (ascending
-// iteration order makes their floating-point accumulations
-// bit-deterministic, unlike map iteration).
-func SortedHas(a []int32, x int) bool {
-	_, ok := slices.BinarySearch(a, int32(x))
-	return ok
-}
-
 // SortedRemove deletes x from the sorted node-ID slice a if present,
-// preserving order.
+// preserving order. The model simulators keep their per-node neighbor
+// sets as sorted slices: ascending iteration order makes their
+// floating-point accumulations bit-deterministic, unlike map iteration.
 func SortedRemove(a []int32, x int) []int32 {
 	if i, ok := slices.BinarySearch(a, int32(x)); ok {
 		return append(a[:i], a[i+1:]...)

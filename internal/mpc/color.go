@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"smallbandwidth/internal/core"
 	"smallbandwidth/internal/gf2"
 	"smallbandwidth/internal/graph"
 )
@@ -47,9 +48,10 @@ type mpcNode struct {
 	color    uint32
 	list     []uint32
 	cands    []uint32
-	aliveNbr []int32 // still-uncolored neighbors, sorted
-	conflict []int32 // conflict neighbors of the current iteration, sorted
-	k1       uint64
+	aliveNbr []int32  // still-uncolored neighbors, sorted
+	conflict []int32  // conflict neighbors of the current iteration, sorted
+	k1       int      // candidates with the current bit set
+	coin     gf2.Coin // Pr[bit = 1] = k1/|cands|, built once per candidate bit
 	phi      int
 }
 
@@ -259,24 +261,30 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 					return nil, err
 				}
 			}
-			for _, nd := range nodes {
+			for v, nd := range nodes {
 				if nd.alive {
 					nd.k1 = countBit(nd.cands, bitPos)
+					nd.coin, err = gf2.NewCoin(fam, uint64(v), b, uint64(nd.k1), uint64(len(nd.cands)))
+					if err != nil {
+						return nil, err
+					}
 				}
 			}
 			if err := rt.ChargeRound(conflictEdgeIO()); err != nil {
 				return nil, err
 			}
 
-			// Derandomize the seed segment by segment.
+			// Derandomize the seed segment by segment. Each assignment's
+			// conditioned basis is built into one scratch basis.
 			basis := gf2.NewBasis()
+			bs := gf2.NewBasis()
 			var seed gf2.Vec128
 			for segStart := 0; segStart < d; segStart += lambda {
 				segW := min(lambda, d-segStart)
 				nAssign := 1 << segW
 				best, bestVal := 0, 0.0
 				for r := 0; r < nAssign; r++ {
-					bs := basis.Clone()
+					basis.CloneInto(bs)
 					for t := 0; t < segW; t++ {
 						bs.FixBit(segStart+t, r>>uint(t)&1 == 1)
 					}
@@ -290,9 +298,9 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 							if w < v {
 								continue
 							}
-							total += edgeExp1(bs, fam, b,
-								uint64(v), nd.k1, uint64(len(nd.cands)),
-								uint64(w), nodes[w].k1, uint64(len(nodes[w].cands)))
+							nw := nodes[w]
+							total += core.EdgeExpectation(bs, nd.coin, nw.coin,
+								nd.k1, len(nd.cands)-nd.k1, nw.k1, len(nw.cands)-nw.k1)
 						}
 					}
 					if r == 0 || total < bestVal {
@@ -320,11 +328,7 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 				if !nd.alive {
 					continue
 				}
-				coin, err := gf2.NewCoin(fam, uint64(v), b, nd.k1, uint64(len(nd.cands)))
-				if err != nil {
-					return nil, err
-				}
-				bitsChosen[v] = coin.Value(seed)
+				bitsChosen[v] = nd.coin.Value(seed)
 				nd.cands = filterBit(nd.cands, bitPos, bitsChosen[v])
 				if len(nd.cands) == 0 {
 					return nil, fmt.Errorf("mpc: node %d candidate set emptied", v)
@@ -476,34 +480,8 @@ func greedyResidual(g *graph.Graph, nodes []*mpcNode) error {
 	return nil
 }
 
-// edgeExp1 is the single-bit conditional edge expectation of Lemma 2.2.
-func edgeExp1(bs *gf2.Basis, fam *gf2.Family, b int, xu, k1u, lu, xv, k1v, lv uint64) float64 {
-	cu, err := gf2.NewCoin(fam, xu, b, k1u, lu)
-	if err != nil {
-		panic(err)
-	}
-	cv, err := gf2.NewCoin(fam, xv, b, k1v, lv)
-	if err != nil {
-		panic(err)
-	}
-	p1u := cu.ProbOne(bs)
-	p1v := cv.ProbOne(bs)
-	p11 := gf2.ProbBothOne(bs, cu, cv)
-	p00 := 1 - p1u - p1v + p11
-	// float64() rounds each product, so no GOARCH fuses it into the sum
-	// (a fused multiply-add changes the bits).
-	var e float64
-	if p11 > 0 {
-		e += float64(p11 * (1/float64(k1u) + 1/float64(k1v)))
-	}
-	if p00 > 0 {
-		e += float64(p00 * (1/float64(lu-k1u) + 1/float64(lv-k1v)))
-	}
-	return e
-}
-
-func countBit(cands []uint32, bitPos int) uint64 {
-	var k uint64
+func countBit(cands []uint32, bitPos int) int {
+	k := 0
 	for _, c := range cands {
 		if c>>uint(bitPos)&1 == 1 {
 			k++
