@@ -446,19 +446,7 @@ func (ns *nodeState) runPhaseBulk() gf2.Vec128 {
 	h := ns.hub
 	start := ns.ctx.Round()
 	if h.arrived.Add(1) == ns.compAlive {
-		if !h.built {
-			h.build()
-		}
-		h.seed = h.runSeedBits()
-		// Charge exactly what the D aggregation waves would have carried:
-		// each wave sends one 4-word chunk up and one down per tree edge.
-		// Singleton components send nothing, there as here.
-		if h.size > 1 {
-			edges := int64(h.size - 1)
-			d := int64(h.p.D)
-			ns.ctx.ChargeTraffic(d*2*edges, d*8*edges, 4)
-		}
-		h.arrived.Store(0)
+		h.coordinate(ns.ctx)
 	}
 	// The segment's exact span: D aggregations (every node computes the
 	// same bound from its own tree copy). The whole domain sleeps, so the
@@ -466,4 +454,26 @@ func (ns *nodeState) runPhaseBulk() gf2.Vec128 {
 	congest.SpinUntil(ns.ctx, start+ns.seedBitsSpan())
 	ns.op += uint64(ns.p.D)
 	return h.seed
+}
+
+// coordinate is the last alive arrival's run of the phase's seed-bit
+// segment, on its own node's stack: the hub's passes run deep, so this
+// node's stack may grow, once per component per phase, while every
+// other node's stays in its starting size.
+//
+//go:noinline
+func (h *phaseHub) coordinate(ctx *congest.Ctx) {
+	if !h.built {
+		h.build()
+	}
+	h.seed = h.runSeedBits()
+	// Charge exactly what the D aggregation waves would have carried:
+	// each wave sends one 4-word chunk up and one down per tree edge.
+	// Singleton components send nothing, there as here.
+	if h.size > 1 {
+		edges := int64(h.size - 1)
+		d := int64(h.p.D)
+		ctx.ChargeTraffic(d*2*edges, d*8*edges, 4)
+	}
+	h.arrived.Store(0)
 }

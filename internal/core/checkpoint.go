@@ -15,9 +15,11 @@ package core
 // crash-at-every-round sweep pins.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"smallbandwidth/internal/congest"
@@ -72,31 +74,52 @@ type nodeRestore struct {
 // commitBlob encodes the node's full protocol state at the top of
 // iteration iter. The encoding is canonical (fixed field order, delta-
 // coded sorted list), so cut bytes are identical across worker counts.
+// It writes the snapshot encoder's field encodings (snapshot.Enc:
+// uvarints, zigzag varints, one byte per bool), which decodeNodeBlob
+// reads back, into the node's reused blob buffer: Ctx.Commit copies the
+// blob, and a buffer sized once at node setup (blobCap) grows no slice
+// deep in the node's stack.
 func (ns *nodeState) commitBlob(iter int) []byte {
-	var e snapshot.Enc
-	e.Uvarint(uint64(iter))
-	e.Bool(ns.alive)
-	e.Bool(ns.colored)
-	e.Uvarint(uint64(ns.color))
-	e.Varint(int64(ns.coloredAt))
-	e.Uvarint(ns.psi)
-	e.Uvarint(ns.op)
-	e.Varint(int64(ns.tree.Parent))
-	e.Uvarint(uint64(ns.tree.Depth))
-	e.Uvarint(uint64(ns.tree.Height))
-	e.Uvarint(uint64(ns.tree.Size))
-	e.Uvarint(uint64(ns.tree.SubtreeHeight))
-	e.Uvarint(uint64(len(ns.list)))
+	b := ns.blob[:0]
+	b = binary.AppendUvarint(b, uint64(iter))
+	b = appendBool(b, ns.alive)
+	b = appendBool(b, ns.colored)
+	b = binary.AppendUvarint(b, uint64(ns.color))
+	b = binary.AppendVarint(b, int64(ns.coloredAt))
+	b = binary.AppendUvarint(b, ns.psi)
+	b = binary.AppendUvarint(b, ns.op)
+	b = binary.AppendVarint(b, int64(ns.tree.Parent))
+	b = binary.AppendUvarint(b, uint64(ns.tree.Depth))
+	b = binary.AppendUvarint(b, uint64(ns.tree.Height))
+	b = binary.AppendUvarint(b, uint64(ns.tree.Size))
+	b = binary.AppendUvarint(b, uint64(ns.tree.SubtreeHeight))
+	b = binary.AppendUvarint(b, uint64(len(ns.list)))
 	prev := int64(-1)
 	for _, c := range ns.list {
-		e.Uvarint(uint64(int64(c) - prev))
+		b = binary.AppendUvarint(b, uint64(int64(c)-prev))
 		prev = int64(c)
 	}
-	e.Uvarint(uint64(len(ns.aliveNbr)))
-	for _, b := range ns.aliveNbr {
-		e.Bool(b)
+	b = binary.AppendUvarint(b, uint64(len(ns.aliveNbr)))
+	for _, live := range ns.aliveNbr {
+		b = appendBool(b, live)
 	}
-	return e.Bytes()
+	ns.blob = b
+	return b
+}
+
+// blobCap bounds the length of a commit blob of a node with the given
+// degree and list length over c colors: the fixed fields at their
+// widest, and one delta per list color of at most c's width.
+func blobCap(deg, listLen int, c uint32) int {
+	colorLen := max(1, (bits.Len32(c)+6)/7) // uvarint bytes of c
+	return 2 + 2*binary.MaxVarintLen64 + 9*binary.MaxVarintLen32 + (listLen+1)*colorLen + deg
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // applyRestore overwrites the freshly initialized node state with the

@@ -257,66 +257,46 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		}
 	}
 
-	// Every node's final state, written by the node itself when its
-	// program ends; the telemetry is folded from it after the run.
-	colors := make([]uint32, inst.G.N())
-	coloredFlag := make([]bool, inst.G.N())
-	coloredAt := make([]int32, inst.G.N())
-	var pots [][]float64
-	if opts.TrackPotentials {
-		pots = make([][]float64, inst.G.N())
+	// The node programs write every node's final state into cr; the
+	// telemetry is folded from it after the run.
+	cr := &coloringRun{
+		inst:        inst,
+		opts:        opts,
+		params:      params,
+		roots:       roots,
+		ranks:       ranks,
+		weights:     weights,
+		hubs:        hubs,
+		ar:          newRunArenas(inst, opts.Workers),
+		colors:      make([]uint32, inst.G.N()),
+		coloredFlag: make([]bool, inst.G.N()),
+		coloredAt:   make([]int32, inst.G.N()),
 	}
-	ar := newRunArenas(inst, opts.Workers)
+	if opts.TrackPotentials {
+		cr.pots = make([][]float64, inst.G.N())
+	}
 
 	cfg := congest.Config{MaxWords: opts.MaxWords, MaxRounds: opts.MaxRounds, Workers: opts.Workers}
-	var restore []*nodeRestore
 	if ckr != nil {
 		cfg.Checkpoint = ckr.ck
 		cfg.Resume = ckr.snap
-		restore = ckr.restore
-		if restore != nil && weights != nil {
+		cr.restore = ckr.restore
+		if cr.restore != nil && weights != nil {
 			return nil, nil, fmt.Errorf("core: cannot resume a telemetry-weighted run")
 		}
 		// Nodes already done in the snapshot never rerun: graft their
 		// final state directly.
-		for v, rs := range restore {
+		for v, rs := range cr.restore {
 			if rs != nil && rs.done {
-				colors[v], coloredFlag[v], coloredAt[v] = rs.color, rs.colored, int32(rs.coloredAt)
+				cr.colors[v], cr.coloredFlag[v], cr.coloredAt[v] = rs.color, rs.colored, int32(rs.coloredAt)
 			}
 		}
 	}
-	stats, domStats, err := congest.RunWithDomains(inst.G, cfg, func(ctx *congest.Ctx) {
-		w := 1
-		if weights != nil {
-			w = weights[ctx.ID()]
-		}
-		ns := &nodeState{ctx: ctx, p: params[ctx.ID()], opts: opts,
-			root: int(roots[ctx.ID()]), rank: ranks[ctx.ID()], weight: w}
-		if hubs != nil {
-			// Register once, at node start: the hub's fold schedule needs
-			// every slot's tree, including the colored nodes that sleep
-			// through whole iterations and never enter a phase again.
-			ns.hub = hubs[ns.root]
-			ns.rankOf = ranks
-			ns.hub.slots[ns.rank].ns = ns
-		}
-		ns.init(inst, ar)
-		if restore != nil && restore[ctx.ID()] != nil {
-			rs := restore[ctx.ID()]
-			ns.applyRestore(rs)
-			ns.loop(rs.iter)
-		} else {
-			ns.run()
-		}
-		v := ctx.ID()
-		colors[v], coloredFlag[v], coloredAt[v] = ns.color, ns.colored, int32(ns.coloredAt)
-		if pots != nil {
-			pots[v] = ns.pots
-		}
-	})
+	stats, domStats, err := congest.RunWithDomains(inst.G, cfg, cr.program)
 	if err != nil {
 		return nil, nil, err
 	}
+	colors, coloredFlag, coloredAt, pots := cr.colors, cr.coloredFlag, cr.coloredAt, cr.pots
 
 	// Fold the telemetry. A node is alive at the top of iterations
 	// 0..coloredAt, or of all MaxIterations when it ends uncolored (only
@@ -370,6 +350,95 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 	return res, domStats, nil
 }
 
+// coloringRun is one run's input to its node programs and the home of
+// their results.
+type coloringRun struct {
+	inst    *graph.Instance
+	opts    Options
+	params  []*Params
+	roots   []int32
+	ranks   []uint64
+	weights []int
+	hubs    map[int]*phaseHub // nil with opts.refEval
+	ar      *runArenas
+	restore []*nodeRestore // by node ID; nil entries start fresh
+
+	// Every node's final state, written by the node itself when its
+	// program ends.
+	colors      []uint32
+	coloredFlag []bool
+	coloredAt   []int32
+	pots        [][]float64 // with TrackPotentials
+}
+
+// program is every node's program.
+//
+// The stack rule (engine.Ctx): a node's coroutine starts on a 2 KB
+// stack, which must hold the runtime's coroutine frames, the protocol
+// frames live at the node's deepest park, and whatever runs on top of
+// them — about 700 B for the protocol's share. So the functions that
+// stay live across round calls (program, run, loop, partialIteration,
+// misStep, runPhase, runPhaseBulk, finishPhase, finishIteration) keep
+// to control flow. The work between two round calls runs in helpers
+// that return before the next park (sendPhase, bindPhase, sendBit,
+// takeBits, sendV4, …); node setup and the final write run out of
+// line; every buffer a node reuses is made at setup, not deep in a
+// step; and every diagnostic is formatted out of line (fault). The
+// coordinator of a phase's seed bits is the one exception: its stack
+// may grow, once per component per phase. TestNodeStacksFitStartingSize
+// holds the rule, and "Node stacks" in docs/PERF.md has the figures.
+func (cr *coloringRun) program(ctx *congest.Ctx) {
+	ns, iter := cr.newNode(ctx)
+	if iter < 0 {
+		ns.run()
+	} else {
+		ns.loop(iter)
+	}
+	cr.record(ns)
+}
+
+// newNode sets up node ctx's state: parameters, arena carves, hub
+// registration and, on a resumed node, the restored state. It returns
+// the iteration a resumed node re-enters the loop at, or −1 for a node
+// that starts from the tree build.
+//
+//go:noinline
+func (cr *coloringRun) newNode(ctx *congest.Ctx) (*nodeState, int) {
+	v := ctx.ID()
+	w := 1
+	if cr.weights != nil {
+		w = cr.weights[v]
+	}
+	ns := &nodeState{ctx: ctx, p: cr.params[v], opts: cr.opts,
+		root: int(cr.roots[v]), rank: cr.ranks[v], weight: w}
+	if cr.hubs != nil {
+		// Register once, at node start: the hub's fold schedule needs
+		// every slot's tree, including the colored nodes that sleep
+		// through whole iterations and never enter a phase again.
+		ns.hub = cr.hubs[ns.root]
+		ns.rankOf = cr.ranks
+		ns.hub.slots[ns.rank].ns = ns
+	}
+	ns.init(cr.inst, cr.ar)
+	if cr.restore != nil && cr.restore[v] != nil {
+		rs := cr.restore[v]
+		ns.applyRestore(rs)
+		return ns, rs.iter
+	}
+	return ns, -1
+}
+
+// record writes the finished node's final state into the run's result.
+//
+//go:noinline
+func (cr *coloringRun) record(ns *nodeState) {
+	v := ns.ctx.ID()
+	cr.colors[v], cr.coloredFlag[v], cr.coloredAt[v] = ns.color, ns.colored, int32(ns.coloredAt)
+	if cr.pots != nil {
+		cr.pots[v] = ns.pots
+	}
+}
+
 // nodeState is the per-node protocol state.
 type nodeState struct {
 	ctx    *congest.Ctx
@@ -410,16 +479,20 @@ type nodeState struct {
 	nbrColors []uint64
 
 	// myForms are this node's coin forms: they depend only on (ψ, B), so
-	// loop builds them once, when ψ is final, and every phase binds them
-	// to its threshold. The hub lays them out once in its lane table.
+	// loop builds them once, when ψ is final, into the buffer init made,
+	// and every phase binds them to its threshold. The hub lays them out
+	// once in its lane table.
 	myForms []gf2.Form
+
+	// blob is the reused buffer of commitBlob, sized by init when a
+	// checkpointer is attached and dropped once the node commits final.
+	blob []byte
 
 	pots []float64 // with TrackPotentials: weighted Φ₀..Φ_LogC per alive iteration
 
-	convVec   [2]float64 // reused aggregation input vector
-	ownedIdx  []int32    // neighbor indexes of owned conflict edges (rebuilt per phase)
-	ownedSlot []int32    // hub slots of those neighbors, in the same order
-	margRead  bool       // some conflict neighbor owns an edge into this node (this phase)
+	ownedIdx  []int32 // neighbor indexes of owned conflict edges (rebuilt per phase)
+	ownedSlot []int32 // hub slots of those neighbors, in the same order
+	margRead  bool    // some conflict neighbor owns an edge into this node (this phase)
 
 	// Bulk-aggregation seam (bulk.go): the component's phase hub and the
 	// shared node→rank table its fold schedule is built from. nil/unset
@@ -577,6 +650,10 @@ func (ns *nodeState) init(inst *graph.Instance, ar *runArenas) {
 	ns.list = ar.lists[llo:lhi:lhi]
 	copy(ns.list, inst.Lists[v])
 	ns.cands = ar.cands[llo:llo:lhi]
+	ns.myForms = make([]gf2.Form, 0, ns.p.B)
+	if ns.ctx.CheckpointEnabled() {
+		ns.blob = make([]byte, 0, blobCap(len(ns.aliveNbr), len(ns.list), inst.C))
+	}
 }
 
 func (ns *nodeState) run() {
@@ -596,25 +673,15 @@ func (ns *nodeState) run() {
 // round, which is exactly what the engine needs to assemble the
 // committed blobs plus the queued backlog into a consistent cut.
 func (ns *nodeState) loop(startIter int) {
-	ns.myForms = ns.p.Fam.OutputForms(ns.psi, ns.p.B) // ψ is final here
-	maxIter := ns.opts.MaxIterations
+	ns.myForms = ns.p.Fam.OutputFormsInto(ns.psi, ns.p.B, ns.myForms) // ψ is final here
 	for iter := startIter; ; iter++ {
-		if ns.opts.crashIter > 0 && iter+1 == ns.opts.crashIter && ns.ctx.ID() == ns.opts.crashNode {
-			panic(fmt.Sprintf("core: injected crash at node %d, iteration %d", ns.ctx.ID(), iter))
-		}
-		if ns.ctx.CheckpointEnabled() {
-			ns.ctx.Commit(ns.commitBlob(iter))
-		}
+		ns.iterationTop(iter)
 		aliveVal := 0.0
 		if ns.alive {
 			aliveVal = 1
 		}
 		totals := ns.converge(aliveVal, 0)
-		if totals[0] == 0 {
-			ns.commitDone(iter)
-			return
-		}
-		if maxIter > 0 && iter >= maxIter {
+		if totals[0] == 0 || ns.opts.MaxIterations > 0 && iter >= ns.opts.MaxIterations {
 			ns.commitDone(iter)
 			return
 		}
@@ -629,6 +696,20 @@ func (ns *nodeState) loop(startIter int) {
 			// as tree relays, so they tick through the iteration.
 			ns.partialIteration(iter)
 		}
+	}
+}
+
+// iterationTop is the loop top's work before the alive-count converge:
+// the injected crash of the resume tests, and the commit of the node's
+// state when a checkpointer is attached.
+//
+//go:noinline
+func (ns *nodeState) iterationTop(iter int) {
+	if ns.opts.crashIter > 0 && iter+1 == ns.opts.crashIter && ns.ctx.ID() == ns.opts.crashNode {
+		fault("core: injected crash at node %d, iteration %d", ns.ctx.ID(), iter)
+	}
+	if ns.ctx.CheckpointEnabled() {
+		ns.ctx.Commit(ns.commitBlob(iter))
 	}
 }
 
@@ -673,9 +754,12 @@ func (ns *nodeState) sleepIteration() {
 // (component-wide alive total, shared iteration cap) are evaluated
 // identically by every node of a component, so a whole domain finishes
 // in the same round and its final cut carries only done nodes.
+//
+//go:noinline
 func (ns *nodeState) commitDone(iter int) {
 	if ns.ctx.CheckpointEnabled() {
 		ns.ctx.CommitFinal(ns.commitBlob(iter))
+		ns.blob = nil
 	}
 }
 
@@ -684,30 +768,75 @@ func (ns *nodeState) commitDone(iter int) {
 func (ns *nodeState) runLinial() {
 	ns.psi = ns.rank
 	for _, st := range ns.p.LinialSched {
-		for i, w := range ns.ctx.Neighbors() {
-			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagLinial, ns.psi))
-		}
-		nbrColors := ns.nbrColors[:0]
-		for _, in := range ns.ctx.Next() {
-			mustTag(in, tagLinial)
-			nbrColors = append(nbrColors, in.Payload[1])
-		}
-		next, err := linial.NextColor(ns.psi, nbrColors, st)
-		if err != nil {
-			panic(fmt.Sprintf("core: Linial step failed at node %d: %v", ns.ctx.ID(), err))
-		}
-		ns.psi = next
+		ns.sendLinial()
+		ns.psi = ns.linialStep(st, ns.ctx.Next())
 	}
+}
+
+// sendLinial sends ψ to every neighbor.
+//
+//go:noinline
+func (ns *nodeState) sendLinial() {
+	for i, w := range ns.ctx.Neighbors() {
+		ns.ctx.Send(int(w), append(ns.msgBuf(i), tagLinial, ns.psi))
+	}
+}
+
+// linialStep is one Linial step from ψ: it returns the node's next color
+// from its neighbors' colors in the round's messages.
+//
+//go:noinline
+func (ns *nodeState) linialStep(st linial.Step, in []congest.Incoming) uint64 {
+	nbrColors := ns.nbrColors[:0]
+	for _, m := range in {
+		mustTag(m, tagLinial)
+		nbrColors = append(nbrColors, m.Payload[1])
+	}
+	next, err := linial.NextColor(ns.psi, nbrColors, st)
+	if err != nil {
+		fault("core: Linial step failed at node %d: %v", ns.ctx.ID(), err)
+	}
+	return next
 }
 
 // partialIteration runs one invocation of Lemma 2.1: ⌈logC⌉ derandomized
 // prefix phases, then the MIS step, permanently coloring ≥ 1/8 of the
 // still-uncolored nodes.
 func (ns *nodeState) partialIteration(iter int) {
-	deg := ns.ctx.Degree()
-	// Conflict graph starts as the alive residual graph (empty prefixes).
+	ns.startIteration()
+	for l := 1; l <= ns.p.LogC; l++ {
+		if ns.opts.refEval {
+			ns.runPhaseRef(l)
+		} else {
+			ns.runPhase(l)
+		}
+	}
+
+	// V<4 membership exchange (1 round).
+	inV4 := ns.sendV4()
+	ns.takeV4(inV4, ns.ctx.Next())
+
+	// Linial on the conflict graph H (max degree 3) from ψ, then iterate
+	// the color classes to build the MIS. Nodes outside V<4 neither send
+	// nor receive anywhere in this fixed-length segment (every H-edge has
+	// both endpoints in V<4), so they sleep through it in one skip; the
+	// segment length is the same for everyone, so lockstep is preserved.
+	inMIS := false
+	if inV4 {
+		inMIS = ns.misStep()
+	} else {
+		congest.SpinUntil(ns.ctx, ns.ctx.Round()+ns.p.misSpan())
+	}
+	ns.finishIteration(iter, inMIS)
+}
+
+// startIteration resets the conflict graph to the alive residual graph
+// (empty prefixes) and the candidates to the list.
+//
+//go:noinline
+func (ns *nodeState) startIteration() {
 	aliveDeg := 0
-	for i := 0; i < deg; i++ {
+	for i := range ns.conflict {
 		ns.conflict[i] = ns.alive && ns.aliveNbr[i]
 		if ns.conflict[i] {
 			aliveDeg++
@@ -719,32 +848,24 @@ func (ns *nodeState) partialIteration(iter int) {
 	} else {
 		ns.cands = ns.cands[:0]
 	}
+}
 
-	for l := 1; l <= ns.p.LogC; l++ {
-		if ns.opts.refEval {
-			ns.runPhaseRef(l)
-		} else {
-			ns.runPhase(l)
-		}
-	}
-
-	// All bits fixed: the single candidate color and the conflict degree.
+// sendV4 checks that the phases left a single candidate, and sends a
+// live node's V<4 membership (conflict degree ≤ 3) to its conflict
+// neighbors. It reports the membership.
+//
+//go:noinline
+func (ns *nodeState) sendV4() bool {
 	confDeg := 0
-	for i := 0; i < deg; i++ {
-		if ns.conflict[i] {
+	for _, c := range ns.conflict {
+		if c {
 			confDeg++
 		}
 	}
 	if ns.alive && len(ns.cands) != 1 {
-		panic(fmt.Sprintf("core: node %d has %d candidates after all phases", ns.ctx.ID(), len(ns.cands)))
+		fault("core: node %d has %d candidates after all phases", ns.ctx.ID(), len(ns.cands))
 	}
-
-	// V<4 membership exchange (1 round).
 	inV4 := ns.alive && confDeg <= 3
-	hNbr := ns.hNbr
-	for i := range hNbr {
-		hNbr[i] = false
-	}
 	if ns.alive {
 		for i, w := range ns.ctx.Neighbors() {
 			if ns.conflict[i] {
@@ -752,41 +873,33 @@ func (ns *nodeState) partialIteration(iter int) {
 			}
 		}
 	}
-	for _, in := range ns.ctx.Next() {
-		mustTag(in, tagV4)
-		i := ns.ctx.NeighborIndex(in.From)
-		hNbr[i] = inV4 && ns.conflict[i] && in.Payload[1] == 1
-	}
+	return inV4
+}
 
-	// Linial on the conflict graph H (max degree 3) from ψ, then iterate
-	// the color classes to build the MIS. Nodes outside V<4 neither send
-	// nor receive anywhere in this fixed-length segment (every H-edge has
-	// both endpoints in V<4), so they sleep through it in one skip; the
-	// segment length is the same for everyone, so lockstep is preserved.
-	if !inV4 {
-		congest.SpinUntil(ns.ctx, ns.ctx.Round()+ns.p.misSpan())
-		ns.finishIteration(iter, false)
-		return
+// takeV4 records the conflict neighbors that share this node's V<4
+// membership: the node's edges of H.
+//
+//go:noinline
+func (ns *nodeState) takeV4(inV4 bool, in []congest.Incoming) {
+	hNbr := ns.hNbr
+	for i := range hNbr {
+		hNbr[i] = false
 	}
+	for _, m := range in {
+		mustTag(m, tagV4)
+		i := ns.ctx.NeighborIndex(m.From)
+		hNbr[i] = inV4 && ns.conflict[i] && m.Payload[1] == 1
+	}
+}
+
+// misStep is a V<4 node's MIS segment: Linial on H from ψ, then the
+// sweep over H's color classes. It reports whether the node joined the
+// MIS.
+func (ns *nodeState) misStep() bool {
 	hColor := ns.psi
 	for _, st := range ns.p.MISSched {
-		for i, w := range ns.ctx.Neighbors() {
-			if hNbr[i] {
-				ns.ctx.Send(int(w), append(ns.msgBuf(i), tagHLin, hColor))
-			}
-		}
-		nbrColors := ns.nbrColors[:0]
-		for _, in := range ns.ctx.Next() {
-			mustTag(in, tagHLin)
-			if hNbr[ns.ctx.NeighborIndex(in.From)] {
-				nbrColors = append(nbrColors, in.Payload[1])
-			}
-		}
-		next, err := linial.NextColor(hColor, nbrColors, st)
-		if err != nil {
-			panic(fmt.Sprintf("core: MIS Linial failed at node %d: %v", ns.ctx.ID(), err))
-		}
-		hColor = next
+		ns.sendHLin(hColor)
+		hColor = ns.misLinial(hColor, st, ns.ctx.Next())
 	}
 
 	// The sweep spends round start+c on color class c. A node acts only
@@ -794,28 +907,80 @@ func (ns *nodeState) partialIteration(iter int) {
 	// before, so it sleeps to that round, joins unless an H-neighbor
 	// already did, and sleeps out the sweep.
 	if hColor >= ns.p.MISK {
-		panic(fmt.Sprintf("core: node %d has H-color %d outside the MIS sweep's %d classes", ns.ctx.ID(), hColor, ns.p.MISK))
+		ns.hColorFault(hColor)
 	}
 	start := ns.ctx.Round()
-	inMIS := true
-	for _, in := range ns.ctx.SkipUntil(start + int(hColor)) {
-		mustTag(in, tagMIS)
-		if hNbr[ns.ctx.NeighborIndex(in.From)] {
-			inMIS = false
-		}
-	}
+	inMIS := ns.misFree(ns.ctx.SkipUntil(start + int(hColor)))
 	if inMIS {
-		for i, w := range ns.ctx.Neighbors() {
-			if hNbr[i] {
-				ns.ctx.Send(int(w), misMsg)
-			}
-		}
+		ns.sendMIS()
 	}
 	for _, in := range ns.ctx.SkipUntil(start + int(ns.p.MISK)) {
 		mustTag(in, tagMIS)
 	}
+	return inMIS
+}
 
-	ns.finishIteration(iter, inMIS)
+// hColorFault reports an H-color outside the MIS sweep's classes.
+//
+//go:noinline
+func (ns *nodeState) hColorFault(hColor uint64) {
+	fault("core: node %d has H-color %d outside the MIS sweep's %d classes", ns.ctx.ID(), hColor, ns.p.MISK)
+}
+
+// sendHLin sends this node's H-color to its H-neighbors.
+//
+//go:noinline
+func (ns *nodeState) sendHLin(hColor uint64) {
+	for i, w := range ns.ctx.Neighbors() {
+		if ns.hNbr[i] {
+			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagHLin, hColor))
+		}
+	}
+}
+
+// misLinial is one Linial step on H: it returns this node's next H-color
+// from its H-neighbors' colors in the round's messages.
+//
+//go:noinline
+func (ns *nodeState) misLinial(hColor uint64, st linial.Step, in []congest.Incoming) uint64 {
+	nbrColors := ns.nbrColors[:0]
+	for _, m := range in {
+		mustTag(m, tagHLin)
+		if ns.hNbr[ns.ctx.NeighborIndex(m.From)] {
+			nbrColors = append(nbrColors, m.Payload[1])
+		}
+	}
+	next, err := linial.NextColor(hColor, nbrColors, st)
+	if err != nil {
+		fault("core: MIS Linial failed at node %d: %v", ns.ctx.ID(), err)
+	}
+	return next
+}
+
+// misFree reports whether no H-neighbor joined the MIS in the messages
+// that reached this node before its color class's round.
+//
+//go:noinline
+func (ns *nodeState) misFree(in []congest.Incoming) bool {
+	free := true
+	for _, m := range in {
+		mustTag(m, tagMIS)
+		if ns.hNbr[ns.ctx.NeighborIndex(m.From)] {
+			free = false
+		}
+	}
+	return free
+}
+
+// sendMIS announces this node's MIS membership to its H-neighbors.
+//
+//go:noinline
+func (ns *nodeState) sendMIS() {
+	for i, w := range ns.ctx.Neighbors() {
+		if ns.hNbr[i] {
+			ns.ctx.Send(int(w), misMsg)
+		}
+	}
 }
 
 // misMsg is every tagMIS payload. A receiver reads it when it wakes for
@@ -829,19 +994,29 @@ var misMsg = congest.Message{tagMIS}
 // prunes announced colors and neighbor liveness.
 func (ns *nodeState) finishIteration(iter int, inMIS bool) {
 	if inMIS {
-		ns.color = ns.cands[0]
-		ns.colored = true
-		ns.alive = false
-		ns.coloredAt = iter
-		for i, w := range ns.ctx.Neighbors() {
-			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagFinal, uint64(ns.color)))
-		}
+		ns.announce(iter)
 	}
 	ns.applyFinals(ns.ctx.Next())
 }
 
+// announce keeps an MIS node's candidate color permanently and sends it
+// to every neighbor.
+//
+//go:noinline
+func (ns *nodeState) announce(iter int) {
+	ns.color = ns.cands[0]
+	ns.colored = true
+	ns.alive = false
+	ns.coloredAt = iter
+	for i, w := range ns.ctx.Neighbors() {
+		ns.ctx.Send(int(w), append(ns.msgBuf(i), tagFinal, uint64(ns.color)))
+	}
+}
+
 // applyFinals prunes the announce round's newly colored neighbors: they
 // are no longer alive, and their colors leave a live node's list.
+//
+//go:noinline
 func (ns *nodeState) applyFinals(in []congest.Incoming) {
 	for _, m := range in {
 		mustTag(m, tagFinal)
@@ -868,31 +1043,57 @@ func (ns *nodeState) applyFinals(in []congest.Incoming) {
 // traffic.
 func (ns *nodeState) runPhase(l int) {
 	bitPos := ns.p.LogC - l
-	var k1, k0 int
-	if ns.alive {
-		k1 = countBitOnes(ns.cands, bitPos)
-		k0 = len(ns.cands) - k1
-		for i, w := range ns.ctx.Neighbors() {
-			if ns.conflict[i] {
-				ns.ctx.Send(int(w), append(ns.msgBuf(i), tagPhase, uint64(k1), uint64(len(ns.cands)), ns.psi))
-			}
+	ns.sendPhase(bitPos)
+	ns.bindPhase(ns.ctx.Next())
+	ns.finishPhase(bitPos, ns.runPhaseBulk())
+}
+
+// sendPhase counts a live node's candidates by their bitPos bit into
+// phK1 and phK0 (zero at a colored node), and sends (k1, |L|, ψ) to its
+// conflict neighbors.
+//
+//go:noinline
+func (ns *nodeState) sendPhase(bitPos int) {
+	ns.phK1, ns.phK0 = 0, 0
+	if !ns.alive {
+		return
+	}
+	ns.phK1 = countBitOnes(ns.cands, bitPos)
+	ns.phK0 = len(ns.cands) - ns.phK1
+	for i, w := range ns.ctx.Neighbors() {
+		if ns.conflict[i] {
+			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagPhase, uint64(ns.phK1), uint64(len(ns.cands)), ns.psi))
 		}
 	}
-	for _, in := range ns.ctx.Next() {
-		mustTag(in, tagPhase)
-		i := ns.ctx.NeighborIndex(in.From)
-		ns.nbrK1[i], ns.nbrLen[i], ns.nbrPsi[i] = in.Payload[1], in.Payload[2], in.Payload[3]
+}
+
+// takePhase records the conflict neighbors' (k1, |L|, ψ) from the
+// exchange round's messages.
+func (ns *nodeState) takePhase(in []congest.Incoming) {
+	for _, m := range in {
+		mustTag(m, tagPhase)
+		i := ns.ctx.NeighborIndex(m.From)
+		ns.nbrK1[i], ns.nbrLen[i], ns.nbrPsi[i] = m.Payload[1], m.Payload[2], m.Payload[3]
 	}
+}
+
+// bindPhase stores the seed-bit loop's inputs after the exchange round:
+// the neighbors' payloads, this node's coin bound to the phase's
+// threshold, and its owned conflict edges.
+//
+//go:noinline
+func (ns *nodeState) bindPhase(in []congest.Incoming) {
+	ns.takePhase(in)
 
 	// Bind this node's forms to this phase's threshold. Each conflict
 	// neighbor binds its own from the (ψ, k1, |L|) it sent, so the hub
 	// reads a neighbor's coin from the neighbor's slot.
-	var myCoin gf2.Coin
+	ns.phMyCoin = gf2.Coin{}
 	if ns.alive {
 		var err error
-		myCoin, err = gf2.NewCoinFromForms(ns.myForms, uint64(k1), uint64(len(ns.cands)))
+		ns.phMyCoin, err = gf2.NewCoinFromForms(ns.myForms, uint64(ns.phK1), uint64(len(ns.cands)))
 		if err != nil {
-			panic(fmt.Sprintf("core: node %d coin: %v", ns.ctx.ID(), err))
+			fault("core: node %d coin: %v", ns.ctx.ID(), err)
 		}
 	}
 
@@ -916,36 +1117,58 @@ func (ns *nodeState) runPhase(l int) {
 			}
 		}
 	}
-
-	// Stash the seed-bit loop's inputs; the hub then runs the whole
-	// seed-bit segment centrally and returns the component's seed
-	// (bulk.go).
-	ns.phK1, ns.phK0, ns.phMyCoin = k1, k0, myCoin
-	ns.finishPhase(bitPos, myCoin, ns.runPhaseBulk())
 }
 
 // finishPhase extends prefixes and prunes the conflict graph (1 round);
-// shared tail of runPhase and runPhaseRef.
-func (ns *nodeState) finishPhase(bitPos int, myCoin gf2.Coin, seed gf2.Vec128) {
-	var myBit bool
-	if ns.alive {
-		myBit = myCoin.Value(seed)
-		ns.cands = filterByBit(ns.cands, bitPos, myBit)
-		if len(ns.cands) == 0 {
-			panic(fmt.Sprintf("core: node %d candidate list became empty", ns.ctx.ID()))
-		}
-		for i, w := range ns.ctx.Neighbors() {
-			if ns.conflict[i] {
-				ns.ctx.Send(int(w), append(ns.msgBuf(i), tagBit, boolWord(myBit)))
-			}
+// shared tail of runPhase and runPhaseRef, which leave this node's coin
+// in phMyCoin.
+func (ns *nodeState) finishPhase(bitPos int, seed gf2.Vec128) {
+	myBit := ns.sendBit(bitPos, seed)
+	ns.takeBits(myBit, ns.ctx.Next())
+}
+
+// sendBit evaluates a live node's coin on the phase's seed, keeps the
+// candidates whose bitPos bit matches it, and sends it to the conflict
+// neighbors. It returns the bit (false at a colored node).
+//
+//go:noinline
+func (ns *nodeState) sendBit(bitPos int, seed gf2.Vec128) bool {
+	if !ns.alive {
+		return false
+	}
+	myBit := ns.keepCands(bitPos, seed)
+	for i, w := range ns.ctx.Neighbors() {
+		if ns.conflict[i] {
+			ns.ctx.Send(int(w), append(ns.msgBuf(i), tagBit, boolWord(myBit)))
 		}
 	}
+	return myBit
+}
+
+// keepCands evaluates this node's coin on the phase's seed and keeps
+// the candidates whose bitPos bit matches it; it returns the bit.
+//
+//go:noinline
+func (ns *nodeState) keepCands(bitPos int, seed gf2.Vec128) bool {
+	myBit := ns.phMyCoin.Value(seed)
+	ns.cands = filterByBit(ns.cands, bitPos, myBit)
+	if len(ns.cands) == 0 {
+		fault("core: node %d candidate list became empty", ns.ctx.ID())
+	}
+	return myBit
+}
+
+// takeBits keeps the conflict edges whose endpoints chose the same bit,
+// and records the node's potential over the remaining conflict degree.
+//
+//go:noinline
+func (ns *nodeState) takeBits(myBit bool, in []congest.Incoming) {
 	confDeg := 0
-	for _, in := range ns.ctx.Next() {
-		mustTag(in, tagBit)
-		i := ns.ctx.NeighborIndex(in.From)
+	for _, m := range in {
+		mustTag(m, tagBit)
+		i := ns.ctx.NeighborIndex(m.From)
 		if ns.conflict[i] {
-			ns.conflict[i] = ns.alive && (in.Payload[1] == 1) == myBit
+			ns.conflict[i] = ns.alive && (m.Payload[1] == 1) == myBit
 			if ns.conflict[i] {
 				confDeg++
 			}
@@ -983,11 +1206,7 @@ func (ns *nodeState) runPhaseRef(l int) {
 			}
 		}
 	}
-	for _, in := range ns.ctx.Next() {
-		mustTag(in, tagPhase)
-		i := ns.ctx.NeighborIndex(in.From)
-		ns.nbrK1[i], ns.nbrLen[i], ns.nbrPsi[i] = in.Payload[1], in.Payload[2], in.Payload[3]
-	}
+	ns.takePhase(ns.ctx.Next())
 
 	// Build this node's coin and its conflict neighbors' coins afresh.
 	var myCoin gf2.Coin
@@ -1041,7 +1260,8 @@ func (ns *nodeState) runPhaseRef(l int) {
 		seed = seed.WithBit(j, rj)
 	}
 
-	ns.finishPhase(bitPos, myCoin, seed)
+	ns.phMyCoin = myCoin
+	ns.finishPhase(bitPos, seed)
 }
 
 // converge aggregates the pair (x0, x1) over all nodes via the BFS tree
@@ -1054,17 +1274,33 @@ func (ns *nodeState) converge(x0, x1 float64) [2]float64 {
 	// one's SpinUntil (or the synchronized tree build), so the
 	// skip-scheduled aggregation applies — nodes sleep through the wave
 	// instead of ticking every round.
-	ns.convVec[0], ns.convVec[1] = x0, x1
-	res := congest.ConvergeSumLockstepTo(ns.ctx, ns.tree, ns.op, ns.convVec[:], start+ns.convergeSpan())
+	vec := [2]float64{x0, x1} // does not escape: the aggregation copies it
+	res := congest.ConvergeSumLockstepTo(ns.ctx, ns.tree, ns.op, vec[:], start+ns.convergeSpan())
 	// Copy before returning: the result buffer lives on the tree.
 	return [2]float64{res[0], res[1]}
 }
 
 func mustTag(in congest.Incoming, want uint64) {
 	if in.Payload[0] != want {
-		panic(fmt.Sprintf("core: unexpected tag %d (want %d) from node %d",
-			in.Payload[0], want, in.From))
+		tagFault(in.Payload[0], want, in.From)
 	}
+}
+
+// tagFault reports a message of an unexpected tag; out of line, so
+// mustTag inlines small.
+//
+//go:noinline
+func tagFault(tag, want uint64, from int) {
+	fault("core: unexpected tag %d (want %d) from node %d", tag, want, from)
+}
+
+// fault panics with a protocol diagnostic. It is kept out of line so
+// that the formatting's frame is not part of any node program's frame
+// (see coloringRun.program).
+//
+//go:noinline
+func fault(format string, args ...any) {
+	panic(fmt.Sprintf(format, args...))
 }
 
 func boolWord(b bool) uint64 {

@@ -204,6 +204,24 @@ func (q *fifo) pop() Message {
 // wait (a channel, a lock held across a round call, a spin on shared
 // state) can never be released, because the node it waits for runs only
 // while this one is parked.
+//
+// Each coroutine starts on the runtime's 2 KB goroutine stack, and a
+// program that outgrows it has its stack doubled for as long as it
+// stays parked deep: with every node of a run parked at the same place,
+// one deep step doubles every node's stack. On linux/amd64, 1,120 B lie
+// above the runtime's stack guard, and the coroutine frames around a
+// parked program (runtime.corostart, iter.Pull's body and yield,
+// coroswitch, start's body and park) take 416 B of them. So the program
+// frames live at any park must stay under about 700 B, with room on top
+// for what runs between two round calls; an allocation's runtime path
+// alone takes about 150 B, and 400 B and more when it refills a span.
+// The rule for node programs: keep the frames that stay live across
+// round calls to control flow, do the work between two round calls in
+// helpers that return before the next park, allocate at the start of
+// the program rather than deep in it, and keep diagnostics (fmt calls)
+// out of line. The send paths follow it: their faults are out of line,
+// and every outbox queue starts with one slot of its own, so a first
+// send grows no slice.
 type Ctx struct {
 	r     *runner
 	id    int
@@ -287,17 +305,8 @@ func (c *Ctx) Round() int { return c.r.round }
 // in one round, to exceed the bandwidth cap, or to send to a non-peer.
 func (c *Ctx) Send(to int, msg Message) {
 	i := c.NeighborIndex(to)
-	if i < 0 {
-		c.r.fail(fmt.Errorf("%s: node %d sent to non-neighbor %d", model, c.id, to))
-		panic(errAborted)
-	}
-	if c.sentNow[i] {
-		c.r.fail(fmt.Errorf("%s: node %d sent twice to %d in round %d", model, c.id, to, c.r.round))
-		panic(errAborted)
-	}
-	if c.outbox[i].size() > 0 {
-		c.r.fail(fmt.Errorf("%s: node %d direct Send to %d with queued backlog", model, c.id, to))
-		panic(errAborted)
+	if i < 0 || c.sentNow[i] || c.outbox[i].size() > 0 {
+		c.sendFault(to, i)
 	}
 	c.checkWidth(msg)
 	c.sentNow[i] = true
@@ -311,12 +320,41 @@ func (c *Ctx) Send(to int, msg Message) {
 func (c *Ctx) SendQueued(to int, msg Message) {
 	i := c.NeighborIndex(to)
 	if i < 0 {
-		c.r.fail(fmt.Errorf("%s: node %d queued to non-neighbor %d", model, c.id, to))
-		panic(errAborted)
+		c.queueFault(to)
 	}
 	c.checkWidth(msg)
 	c.noteQueued(i)
 	c.outbox[i].push(msg)
+}
+
+// The faults of the send paths fail the run and unwind the program.
+// Each is kept out of line, as are the node programs' own diagnostics,
+// so that its formatting frame is not part of every send's frame: a
+// node program must fit the 2 KB stack its coroutine starts with (see
+// Ctx).
+
+// sendFault reports the violation of a direct Send to `to`, whose
+// neighbor index is i.
+//
+//go:noinline
+func (c *Ctx) sendFault(to, i int) {
+	switch {
+	case i < 0:
+		c.r.fail(fmt.Errorf("%s: node %d sent to non-neighbor %d", model, c.id, to))
+	case c.sentNow[i]:
+		c.r.fail(fmt.Errorf("%s: node %d sent twice to %d in round %d", model, c.id, to, c.r.round))
+	default:
+		c.r.fail(fmt.Errorf("%s: node %d direct Send to %d with queued backlog", model, c.id, to))
+	}
+	panic(errAborted)
+}
+
+// queueFault reports a SendQueued to the non-neighbor `to`.
+//
+//go:noinline
+func (c *Ctx) queueFault(to int) {
+	c.r.fail(fmt.Errorf("%s: node %d queued to non-neighbor %d", model, c.id, to))
+	panic(errAborted)
 }
 
 // noteQueued maintains the dirty accounting: called before a push that
@@ -352,15 +390,22 @@ func (c *Ctx) noteQueued(i int) {
 }
 
 func (c *Ctx) checkWidth(msg Message) {
-	if len(msg) > c.r.cfg.MaxWords {
+	if len(msg) > c.r.cfg.MaxWords || len(msg) == 0 {
+		c.widthFault(len(msg))
+	}
+}
+
+// widthFault reports a message of n words, empty or wider than the cap.
+//
+//go:noinline
+func (c *Ctx) widthFault(n int) {
+	if n > c.r.cfg.MaxWords {
 		c.r.fail(fmt.Errorf("%s: node %d message of %d words exceeds cap %d",
-			model, c.id, len(msg), c.r.cfg.MaxWords))
-		panic(errAborted)
-	}
-	if len(msg) == 0 {
+			model, c.id, n, c.r.cfg.MaxWords))
+	} else {
 		c.r.fail(fmt.Errorf("%s: node %d sent empty message", model, c.id))
-		panic(errAborted)
 	}
+	panic(errAborted)
 }
 
 // ChargeTraffic accounts messages/words the node's protocol computed
@@ -1036,6 +1081,10 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 			ctxArena := make([]Ctx, len(comp))
 			srcSlotArena := make([]int32, arcs)
 			outboxArena := make([]fifo, arcs)
+			// Every outbox queue starts with one slot of its own, so a
+			// node's first send on an edge does not grow a slice deep in
+			// its program's stack (see Ctx).
+			slotArena := make([]Message, arcs)
 			sentNowArena := make([]bool, arcs)
 			pendingArena := make([]atomic.Uint64, pwOff[len(comp)])
 			inboxArena := make([]Incoming, arcs)
@@ -1049,6 +1098,9 @@ func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, [
 				c.nbr = neighborsOf(int(v))
 				c.srcSlot = srcSlotArena[lo:hi:hi]
 				c.outbox = outboxArena[lo:hi:hi]
+				for k := lo; k < hi; k++ {
+					c.outbox[k-lo].buf = slotArena[k : k : k+1]
+				}
 				c.sentNow = sentNowArena[lo:hi:hi]
 				c.pending = pendingArena[pwOff[idx]:pwOff[idx+1]:pwOff[idx+1]]
 				// The inbox starts with capacity deg; a SkipUntil that

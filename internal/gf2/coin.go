@@ -32,15 +32,24 @@ func NewCoin(fam *Family, x uint64, b int, num, den uint64) (Coin, error) {
 // window of the hash output from Family.WindowForms).
 func NewCoinFromForms(forms []Form, num, den uint64) (Coin, error) {
 	b := len(forms)
-	if den == 0 || num > den {
-		return Coin{}, fmt.Errorf("gf2: invalid coin probability %d/%d", num, den)
-	}
-	if b >= 63 || num > (uint64(1)<<(63-b)) {
-		return Coin{}, fmt.Errorf("gf2: threshold ⌈%d·2^%d/%d⌉ would overflow", num, b, den)
+	if den == 0 || num > den || b >= 63 || num > (uint64(1)<<(63-b)) {
+		return Coin{}, coinError(num, den, b)
 	}
 	// T = ⌈num·2^b/den⌉ = |{k ∈ [2^b] : k/2^b < num/den}|.
 	t := (num<<b + den - 1) / den
 	return Coin{forms: forms, t: t, b: b, lo: formsLo(forms)}, nil
+}
+
+// coinError is NewCoinFromForms's error for arguments it refuses. It is
+// kept out of line: every node binds a coin each phase, and the
+// formatting's frame would otherwise widen that step's.
+//
+//go:noinline
+func coinError(num, den uint64, b int) error {
+	if den == 0 || num > den {
+		return fmt.Errorf("gf2: invalid coin probability %d/%d", num, den)
+	}
+	return fmt.Errorf("gf2: threshold ⌈%d·2^%d/%d⌉ would overflow", num, b, den)
 }
 
 // Threshold returns the integer threshold T.

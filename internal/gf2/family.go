@@ -91,12 +91,14 @@ func (fam *Family) OutputForms(x uint64, outBits int) []Form {
 // per j, none for the k = 2 case of the paper: c_0 = 1 contributes the
 // identity map and c_1 = x is free). Bit t of A_j ⊗ c_j equals the
 // parity over i of A_j[i]·(c_j·y^i mod g)[t], so coefficient j's columns
-// col_i = c_j·y^i are walked by a MulByX chain and transposed into one
-// m-bit mask word per output bit, placed at seed-bit offset j·m.
+// col_i = c_j·y^i are walked by a MulByX chain, and each set bit t of
+// col_i sets seed bit j·m+i in output bit t's form. The forms are the
+// only working state, so the frame stays small: a CONGEST node builds
+// its forms on its coroutine's stack (see engine.Ctx).
 func (fam *Family) OutputFormsInto(x uint64, outBits int, dst []Form) []Form {
 	m := fam.f.m
 	if outBits < 1 || outBits > m {
-		panic(fmt.Sprintf("gf2: outBits=%d out of range [1,%d]", outBits, m))
+		outBitsFault(outBits, m)
 	}
 	forms := growForms(dst, outBits)
 	// Coefficient 0: c_0 = 1, so col_i = y^i and bit t of col_i is set
@@ -106,30 +108,28 @@ func (fam *Family) OutputFormsInto(x uint64, outBits int, dst []Form) []Form {
 	}
 	cj := x
 	outMask := uint64(1)<<outBits - 1
-	var wt [64]uint64 // wt[t]: transposed mask word of output bit t
 	for j := 1; j < fam.k; j++ {
 		if j > 1 {
 			cj = fam.f.Mul(cj, x) // c_j = x^j; no multiplies for k ≤ 2
 		}
-		for t := 0; t < outBits; t++ {
-			wt[t] = 0
-		}
 		col := cj
 		for i := 0; i < m; i++ {
-			rem := col & outMask
-			for rem != 0 {
-				t := bits.TrailingZeros64(rem)
-				rem &= rem - 1
-				wt[t] |= uint64(1) << i
+			for rem := col & outMask; rem != 0; rem &= rem - 1 {
+				idx := outBits - 1 - bits.TrailingZeros64(rem) // MSB-first position of the bit
+				forms[idx].Mask = forms[idx].Mask.WithBit(j*m+i, true)
 			}
 			col = fam.f.MulByX(col)
 		}
-		for t := 0; t < outBits; t++ {
-			idx := outBits - 1 - t // MSB-first position of bit t
-			forms[idx].Mask = forms[idx].Mask.orAt(j*m, wt[t])
-		}
 	}
 	return forms
+}
+
+// outBitsFault reports an output width outside [1, m]; out of line, so
+// the formatting does not widen the callers' frames.
+//
+//go:noinline
+func outBitsFault(outBits, m int) {
+	panic(fmt.Sprintf("gf2: outBits=%d out of range [1,%d]", outBits, m))
 }
 
 // OutputSupport returns the seed bits some form of OutputForms(x,
@@ -142,7 +142,7 @@ func (fam *Family) OutputFormsInto(x uint64, outBits int, dst []Form) []Form {
 func (fam *Family) OutputSupport(outBits int) Vec128 {
 	m := fam.f.m
 	if outBits < 1 || outBits > m {
-		panic(fmt.Sprintf("gf2: outBits=%d out of range [1,%d]", outBits, m))
+		outBitsFault(outBits, m)
 	}
 	var v Vec128
 	for i := 0; i < fam.k*m; i++ {

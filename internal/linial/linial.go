@@ -75,42 +75,26 @@ func degreeFor(k, q uint64) uint64 {
 	return t
 }
 
-// Digits returns the t+1 base-q digits of x (the coefficients of f_x).
-func Digits(x, q, t uint64) []uint64 {
-	d := make([]uint64, t+1)
-	for i := range d {
-		d[i] = x % q
-		x /= q
-	}
-	return d
-}
-
-// EvalPoly evaluates the polynomial with the given coefficients at point
-// e over GF(q) (Horner).
-func EvalPoly(coeffs []uint64, e, q uint64) uint64 {
-	var acc uint64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*e + coeffs[i]) % q
-	}
-	return acc
-}
-
 // NextColor executes one reduction step for a node: given its own color,
 // the colors of its (differently-colored) neighbors, and the step
-// parameters, it returns the node's new color in [q²].
+// parameters, it returns the node's new color in [q²]. It allocates
+// nothing on success: each polynomial is evaluated from its color's
+// base-q digits in place (evalColor), so a call costs no stack or heap
+// beyond its own small frame wherever in a node program it runs.
+//
+//sbw:allocfree Linial step of every node program: once per schedule step, in the input coloring and in each MIS step
 func NextColor(own uint64, neighbors []uint64, st Step) (uint64, error) {
 	q, t := st.Q, st.T
-	fu := Digits(own, q, t)
 	for e := uint64(0); e < q; e++ {
-		mine := EvalPoly(fu, e, q)
+		mine := evalColor(own, e, q, t)
 		ok := true
 		for _, nb := range neighbors {
 			if nb == own {
 				// A monochromatic neighbor means the input coloring was
 				// improper; no evaluation point can help.
-				return 0, fmt.Errorf("linial: neighbor shares color %d", own)
+				return 0, errSharedColor(own)
 			}
-			if EvalPoly(Digits(nb, q, t), e, q) == mine {
+			if evalColor(nb, e, q, t) == mine {
 				ok = false
 				break
 			}
@@ -119,8 +103,37 @@ func NextColor(own uint64, neighbors []uint64, st Step) (uint64, error) {
 			return e*q + mine, nil
 		}
 	}
-	return 0, fmt.Errorf("linial: no evaluation point for color %d with %d neighbors (q=%d t=%d)",
-		own, len(neighbors), q, t)
+	return 0, errNoPoint(own, len(neighbors), q, t)
+}
+
+// evalColor evaluates f_x, the polynomial whose coefficients are the t+1
+// low base-q digits d_0..d_t of x, at the point e over GF(q). It sums
+// d_i·e^i from the lowest digit up, reducing mod q at every step: the
+// same value as Horner's rule over the digit slice, with no slice.
+func evalColor(x, e, q, t uint64) uint64 {
+	var acc uint64
+	pow := uint64(1)
+	for i := uint64(0); i <= t; i++ {
+		acc = (acc + x%q*pow) % q
+		x /= q
+		pow = pow * e % q
+	}
+	return acc
+}
+
+// errSharedColor and errNoPoint build NextColor's two errors. They are
+// kept out of line so that the formatting's frame is not part of
+// NextColor's on the success path.
+//
+//go:noinline
+func errSharedColor(own uint64) error {
+	return fmt.Errorf("linial: neighbor shares color %d", own)
+}
+
+//go:noinline
+func errNoPoint(own uint64, neighbors int, q, t uint64) error {
+	return fmt.Errorf("linial: no evaluation point for color %d with %d neighbors (q=%d t=%d)",
+		own, neighbors, q, t)
 }
 
 // ColorGraph runs the full schedule centrally on a graph given as

@@ -1,10 +1,58 @@
 package linial
 
 import (
+	"fmt"
 	"testing"
 
 	"smallbandwidth/internal/graph"
+	"smallbandwidth/internal/prng"
 )
+
+// Digits returns the t+1 base-q digits of x (the coefficients of f_x).
+func Digits(x, q, t uint64) []uint64 {
+	d := make([]uint64, t+1)
+	for i := range d {
+		d[i] = x % q
+		x /= q
+	}
+	return d
+}
+
+// EvalPoly evaluates the polynomial with the given coefficients at point
+// e over GF(q) (Horner).
+func EvalPoly(coeffs []uint64, e, q uint64) uint64 {
+	var acc uint64
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = (acc*e + coeffs[i]) % q
+	}
+	return acc
+}
+
+// nextColorRef is NextColor as it was written over Digits and EvalPoly:
+// a digit slice for the node's own color and one for every neighbor at
+// every evaluation point. It is the oracle of the in-place evaluation.
+func nextColorRef(own uint64, neighbors []uint64, st Step) (uint64, error) {
+	q, t := st.Q, st.T
+	fu := Digits(own, q, t)
+	for e := uint64(0); e < q; e++ {
+		mine := EvalPoly(fu, e, q)
+		ok := true
+		for _, nb := range neighbors {
+			if nb == own {
+				return 0, fmt.Errorf("linial: neighbor shares color %d", own)
+			}
+			if EvalPoly(Digits(nb, q, t), e, q) == mine {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return e*q + mine, nil
+		}
+	}
+	return 0, fmt.Errorf("linial: no evaluation point for color %d with %d neighbors (q=%d t=%d)",
+		own, len(neighbors), q, t)
+}
 
 func TestPrimes(t *testing.T) {
 	primes := []uint64{2, 3, 5, 7, 11, 13, 97, 101}
@@ -138,6 +186,77 @@ func TestNextColorStepProper(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNextColorMatchesReference compares NextColor with nextColorRef on
+// random steps, colors and neighbor sets: the new color, or the error
+// text, must be the same. Colors reach past q^(t+1), where both keep
+// only the t+1 low digits; neighbor sets reach 3q, past the q > Δ·t
+// guarantee, so some calls find no evaluation point; and some sets hold
+// the node's own color.
+func TestNextColorMatchesReference(t *testing.T) {
+	primes := []uint64{2, 3, 5, 7, 11, 13, 31, 101, 65521}
+	src := prng.New(7)
+	errs := map[string]int{}
+	for it := 0; it < 20000; it++ {
+		q := primes[src.Intn(len(primes))]
+		deg := uint64(1 + src.Intn(3))
+		st := Step{Q: q, T: deg, NewK: q * q}
+		span := uint64(1)
+		for i := uint64(0); i <= deg+1; i++ {
+			span *= q
+		}
+		own := src.Uint64() % span
+		nbrs := make([]uint64, src.Intn(3*int(min(q, 40))+1))
+		for i := range nbrs {
+			nbrs[i] = src.Uint64() % span
+		}
+		if len(nbrs) > 0 && src.Intn(8) == 0 {
+			nbrs[src.Intn(len(nbrs))] = own
+		}
+		got, gotErr := NextColor(own, nbrs, st)
+		want, wantErr := nextColorRef(own, nbrs, st)
+		if got != want || errText(gotErr) != errText(wantErr) {
+			t.Fatalf("NextColor(%d, %v, %+v) = (%d, %q), reference (%d, %q)",
+				own, nbrs, st, got, errText(gotErr), want, errText(wantErr))
+		}
+		if gotErr != nil {
+			errs[gotErr.Error()[:20]]++
+		}
+	}
+	if len(errs) != 2 {
+		t.Fatalf("the random calls reached %d of NextColor's 2 error cases: %v", len(errs), errs)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestNextColorAllocFree holds NextColor's success path at zero
+// allocations: it runs on every node's coroutine stack, where an
+// allocation's runtime frames alone would outgrow the starting stack.
+func TestNextColorAllocFree(t *testing.T) {
+	st := Schedule(1<<20, 16)[0]
+	nbrs := make([]uint64, 16)
+	for i := range nbrs {
+		nbrs[i] = uint64(1000 + 37*i)
+	}
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		c, err := NextColor(5, nbrs, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink += c
+	})
+	if allocs != 0 {
+		t.Fatalf("NextColor allocates %v objects per call, want 0", allocs)
+	}
+	_ = sink
 }
 
 func adjOf(g *graph.Graph) [][]int32 {

@@ -181,9 +181,6 @@ func (e *Enc) Bytes() []byte { return e.b }
 // Uvarint appends an unsigned varint.
 func (e *Enc) Uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-// Varint appends a signed (zigzag) varint.
-func (e *Enc) Varint(v int64) { e.b = binary.AppendVarint(e.b, v) }
-
 // U64 appends a fixed-width little-endian 64-bit word.
 func (e *Enc) U64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 
