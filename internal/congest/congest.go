@@ -8,17 +8,23 @@
 // queue messages and Ctx.Next to end the current round and receive the
 // messages delivered for the next one. Each program runs as a coroutine
 // the engine resumes round by round, so it may wait on another node only
-// through the round calls (Next, SkipUntil, NextDelivery, and the
-// helpers built on them here). The simulator:
+// through the round calls (Next, SkipUntil, and the helpers built on
+// them here). The simulator:
 //
 //   - enforces the bandwidth cap (messages wider than MaxWords are a
 //     protocol violation and abort the run with an error);
 //   - supports per-edge FIFO queueing (SendQueued) so that multiple
-//     logical messages contending for one edge are automatically
-//     pipelined, which is how the congestion-κ cluster trees of the
-//     network decomposition pay their true round cost;
+//     logical messages contending for one edge are pipelined, one per
+//     round. The tree aggregation (ConvergeSumLockstepTo) queues its
+//     chunks this way; the network decomposition's congestion κ is
+//     charged in closed form (netdecomp's ChargedRounds), not queued;
 //   - counts rounds, messages, and words, and records the widest message
 //     observed, so every complexity claim in the paper is *measured*.
+//
+// The BFS spanning forest that aggregations run over is laid out from
+// the graph (LayoutBFS), together with the rounds and traffic of the
+// flooding build that would construct it, so a protocol charges the
+// build instead of running it.
 //
 // # Engine
 //

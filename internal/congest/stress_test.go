@@ -114,14 +114,14 @@ func TestConvergeSumManyOpsStress(t *testing.T) {
 	}
 }
 
-// waveSum is an event-driven aggregation of vec over tr: a node sleeps
-// in NextDelivery until its children's partial sums arrive, sends its own
-// to its parent, sleeps again until the total comes down, and forwards
-// it. Nodes enter and leave each wave in different rounds.
+// waveSum is an event-driven aggregation of vec over tr: a node waits
+// in nextDelivery until its children's partial sums arrive, sends its
+// own to its parent, waits again until the total comes down, and
+// forwards it. Nodes enter and leave each wave in different rounds.
 func waveSum(ctx *Ctx, tr *Tree, op uint64, vec []float64) []float64 {
 	x := slices.Clone(vec)
 	for got := 0; got < len(tr.Children); {
-		for _, in := range ctx.NextDelivery() {
+		for _, in := range nextDelivery(ctx) {
 			if in.Payload[0] != tagUp || in.Payload[1] != op {
 				panic(fmt.Sprintf("node %d: (tag %d, op %d) in the up wave of op %d", ctx.ID(), in.Payload[0], in.Payload[1], op))
 			}
@@ -140,7 +140,7 @@ func waveSum(ctx *Ctx, tr *Tree, op uint64, vec []float64) []float64 {
 	}
 	if tr.Parent != -1 {
 		ctx.Send(tr.Parent, msg(tagUp))
-		down := ctx.NextDelivery()
+		down := nextDelivery(ctx)
 		if len(down) != 1 || down[0].Payload[0] != tagDown || down[0].Payload[1] != op {
 			panic(fmt.Sprintf("node %d: expected the total of op %d, got %d message(s)", ctx.ID(), op, len(down)))
 		}
@@ -155,8 +155,8 @@ func waveSum(ctx *Ctx, tr *Tree, op uint64, vec []float64) []float64 {
 }
 
 // TestNextDeliveryWavesStress runs 25 consecutive waveSum waves, so
-// every node sleeps and wakes in NextDelivery 50 times at staggered
-// rounds, and checks every total at every node.
+// every node waits in nextDelivery 50 times at staggered rounds, and
+// checks every total at every node.
 func TestNextDeliveryWavesStress(t *testing.T) {
 	g := graph.MustRandomRegular(24, 3, 5)
 	var mu sync.Mutex

@@ -3,23 +3,22 @@ package congest
 import (
 	"fmt"
 	"math"
+
+	"smallbandwidth/internal/graph"
 )
 
 // Internal message tags for the tree primitives. User protocols should
 // use tags ≥ UserTagBase.
 const (
-	tagAdopt    uint64 = 1 // [tag, depth, parentID+1] — BFS wave + parent notification
-	tagReport   uint64 = 2 // [tag, height, size] — convergecast of subtree stats
-	tagTreeDone uint64 = 3 // [tag, height<<32|size, syncRound] — downcast of tree completion
-	tagUp       uint64 = 4 // [tag, op, values...] — partial sum toward the root
-	tagDown     uint64 = 5 // [tag, op, values...] — total toward the leaves
+	tagUp   uint64 = 4 // [tag, op, values...] — partial sum toward the root
+	tagDown uint64 = 5 // [tag, op, values...] — total toward the leaves
 
 	// UserTagBase is the first tag value available to user protocols.
 	UserTagBase uint64 = 16
 )
 
 // Tree is a node's local view of a BFS spanning tree of the communication
-// graph, produced by BuildBFSTree. Aggregation over the tree
+// graph (BFSLayout.Tree). Aggregation over the tree
 // (ConvergeSumLockstepTo) is the communication backbone of the
 // derandomization in Lemma 2.6.
 type Tree struct {
@@ -43,6 +42,192 @@ type Tree struct {
 	convAcc  []float64
 	convMsgs [][]uint64
 	convNext int
+}
+
+// BFSLayout is the spanning forest that the deterministic flooding
+// build of a BFS tree leaves on a graph, computed from the graph alone:
+// one tree per connected component, rooted at its smallest ID, with
+// the round in which the build returns and the traffic it sends. A
+// protocol can charge that traffic (Ctx.ChargeTraffic) and sleep to that
+// round (SkipUntil) instead of running the build, and its Stats come
+// out bit-identical. The build protocol itself is the layout's oracle
+// in this package's tests.
+//
+// The flooding build works as follows. The root sends an adopt message
+// [depth, parent] to every neighbor in round 0. A node adopts in the
+// round the first adopt messages reach it, taking the smallest-ID
+// sender as its parent, and sends its own adopt message to every
+// neighbor. Once it has heard every neighbor and every child's report,
+// it reports [subtree height, subtree size] to its parent, one round
+// later if it adopted in that same round (its adopt message holds the
+// edge). Once the root has every report, it sends a completion message
+// down the tree that names a common return round. Each message is 3
+// words.
+type BFSLayout struct {
+	Parent        []int32 // tree parent, −1 at a root
+	Depth         []int32 // distance from the root
+	SubtreeHeight []int32 // height of the node's own subtree: 0 at a leaf, the tree's Height at its root
+
+	// Trees holds one entry per connected component, ordered by root.
+	Trees []TreeLayout
+
+	comp []int32 // by node: the index of its tree in Trees
+	// Node v's children are child[childOff[v]:childOff[v+1]], ascending.
+	childOff []int32
+	child    []int32
+}
+
+// TreeLayout is one component's tree: its root (the smallest member),
+// its size and height, and what the flooding build costs on it.
+// Build.Rounds is the round in which every member returns from the
+// build; a singleton returns in round 0 and sends nothing.
+type TreeLayout struct {
+	Root, Size, Height int
+	Build              Stats
+}
+
+// buildWords is the width of every message of the flooding build.
+const buildWords = 3
+
+// LayoutBFS lays out the flooding build's spanning forest on g. With
+// known(v) the round in which v has heard every neighbor's adopt
+// message (the largest neighbor depth plus one), v reports in round
+// rep(v) = max(known(v), rep(c)+1 over its children c), or one round
+// later when that is the round it adopted in. Every member returns in
+// round rep(root) + Height + 3. The build sends one adopt message per
+// arc, and one report and one completion per tree edge.
+func LayoutBFS(g *graph.Graph) *BFSLayout {
+	n := g.N()
+	off, nbr := g.CSR()
+	l := &BFSLayout{
+		Parent:        make([]int32, n),
+		Depth:         make([]int32, n),
+		SubtreeHeight: make([]int32, n),
+		comp:          make([]int32, n),
+		childOff:      make([]int32, n+1),
+	}
+	for v := range l.Depth {
+		l.Depth[v] = -1
+	}
+	// order lists every node in BFS order, component after component,
+	// so depths never decrease within a component's run of it.
+	order := make([]int32, 0, n)
+	for s := 0; s < n; s++ {
+		if l.Depth[s] >= 0 {
+			continue
+		}
+		ci := int32(len(l.Trees))
+		first := len(order)
+		l.Depth[s], l.comp[s] = 0, ci
+		order = append(order, int32(s))
+		for qi := first; qi < len(order); qi++ {
+			u := order[qi]
+			for _, w := range nbr[off[u]:off[u+1]] {
+				if l.Depth[w] < 0 {
+					l.Depth[w], l.comp[w] = l.Depth[u]+1, ci
+					order = append(order, w)
+				}
+			}
+		}
+		l.Trees = append(l.Trees, TreeLayout{Root: s, Size: len(order) - first})
+	}
+	// Parents: the smallest-ID neighbor one layer up, the first adopt
+	// message in sorted sender order. Filling the children in ascending
+	// node order keeps each child list ascending.
+	for v := 0; v < n; v++ {
+		l.Parent[v] = -1
+		if l.Depth[v] == 0 {
+			continue
+		}
+		for _, w := range nbr[off[v]:off[v+1]] {
+			if l.Depth[w] == l.Depth[v]-1 {
+				l.Parent[v] = w
+				break
+			}
+		}
+		l.childOff[l.Parent[v]+1]++
+	}
+	for v := 0; v < n; v++ {
+		l.childOff[v+1] += l.childOff[v]
+	}
+	l.child = make([]int32, l.childOff[n])
+	fill := make([]int32, n)
+	copy(fill, l.childOff[:n])
+	for v := 0; v < n; v++ {
+		if p := l.Parent[v]; p >= 0 {
+			l.child[fill[p]] = int32(v)
+			fill[p]++
+		}
+	}
+	// Subtree heights and report rounds, deepest nodes first, so every
+	// child is done before its parent.
+	rep := fill // reused: one report round per node
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		known := int32(0)
+		for _, w := range nbr[off[v]:off[v+1]] {
+			known = max(known, l.Depth[w]+1)
+		}
+		r, h := known, int32(0)
+		for _, c := range l.Children(int(v)) {
+			r = max(r, rep[c]+1)
+			h = max(h, l.SubtreeHeight[c]+1)
+		}
+		if l.Parent[v] >= 0 && r == l.Depth[v] {
+			r++
+		}
+		rep[v], l.SubtreeHeight[v] = r, h
+	}
+	first := 0
+	for ci := range l.Trees {
+		tl := &l.Trees[ci]
+		tl.Height = int(l.SubtreeHeight[tl.Root])
+		members := order[first : first+tl.Size]
+		first += tl.Size
+		if tl.Size == 1 {
+			continue
+		}
+		msgs := int64(2 * (tl.Size - 1))
+		for _, v := range members {
+			msgs += int64(off[v+1] - off[v])
+		}
+		tl.Build = Stats{
+			Rounds:          int(rep[tl.Root]) + tl.Height + 3,
+			Messages:        msgs,
+			Words:           buildWords * msgs,
+			MaxMessageWords: buildWords,
+		}
+	}
+	return l
+}
+
+// Children returns node v's tree children, ascending. Read-only.
+func (l *BFSLayout) Children(v int) []int32 {
+	return l.child[l.childOff[v]:l.childOff[v+1]]
+}
+
+// TreeOf returns the layout of node v's tree.
+func (l *BFSLayout) TreeOf(v int) *TreeLayout { return &l.Trees[l.comp[v]] }
+
+// Tree returns node v's view of its tree, as the flooding build leaves
+// it, for aggregations with ConvergeSumLockstepTo.
+func (l *BFSLayout) Tree(v int) *Tree {
+	tl := l.TreeOf(v)
+	t := &Tree{
+		Root:          tl.Root,
+		Parent:        int(l.Parent[v]),
+		Depth:         int(l.Depth[v]),
+		Height:        tl.Height,
+		Size:          tl.Size,
+		SubtreeHeight: int(l.SubtreeHeight[v]),
+	}
+	if kids := l.Children(v); len(kids) > 0 {
+		t.Children = make([]int, len(kids))
+		for i, c := range kids {
+			t.Children[i] = int(c)
+		}
+	}
+	return t
 }
 
 // convMsg returns the next reusable outgoing-message buffer, empty with
@@ -73,9 +258,9 @@ func (t *Tree) pack(tag, op uint64, data []float64) Message {
 // ConvergeSumLockstepTo can use on this node: one result vector of
 // words−2 values and, carved from one array, one message buffer of
 // words words per child plus one (a node sends one chunk up and one
-// down to each child per call). BuildBFSTree calls it while the node's
-// stack is shallow, so no aggregation allocates deep in a node program;
-// a tree assembled by hand gets it at its first aggregation.
+// down to each child per call). A tree gets it at its first
+// aggregation, or earlier from a caller whose node stack is shallower
+// there.
 //
 //go:noinline
 func (t *Tree) sizeScratch(words int) {
@@ -90,191 +275,10 @@ func (t *Tree) sizeScratch(words int) {
 	}
 }
 
-// BuildBFSTree constructs a BFS spanning tree rooted at root using the
-// deterministic flooding protocol: the wave carries (depth, parent
-// choice), ties broken toward the smallest sender ID; subtree reports are
-// converged to the root, which then broadcasts completion so that every
-// node knows the tree height before returning. Takes O(D) rounds.
-//
-// The wave only ever reaches root's connected component, so disconnected
-// graphs are handled by giving every node the root of its *own* component
-// (conventionally the smallest member ID): each component builds its own
-// spanning tree in the same engine run, and Size/Height are per-component
-// quantities carried by that component's completion broadcast.
-//
-// All nodes of one component return in the *same* round (the completion
-// broadcast carries a synchronization round that every node spins to), so
-// protocols may follow the build with scheduled fixed-length segments;
-// distinct components may return in different rounds, which is fine
-// because no message ever crosses a component boundary.
-func BuildBFSTree(ctx *Ctx, root int) *Tree {
-	t := &Tree{Root: root, Parent: -1, Depth: 0}
-	// notified[i] is neighbor index i's announced parentID+1 (0 = the
-	// root's "no parent"), or noParentChoice while unheard-from: a flat
-	// slice over the neighbor indexes instead of a per-node map.
-	notified := make([]uint64, ctx.Degree())
-	for i := range notified {
-		notified[i] = noParentChoice
-	}
-	done := t.build(ctx, notified)
-	// The completion payload goes on to the children unchanged; its last
-	// word is the component's common return round.
-	for _, ch := range t.Children {
-		ctx.Send(ch, done)
-	}
-	t.sizeScratch(ctx.MaxWords())
-	if done != nil {
-		spinUntil(ctx, int(done[2]))
-	}
-	return t
-}
-
-// build runs the flooding protocol of BuildBFSTree at one node until
-// the node knows the tree's geometry, and returns the completion
-// payload [tagTreeDone, height<<32|size, syncRound] for its children
-// (nil for an isolated root, which has none). It keeps the event loop
-// out of BuildBFSTree, so the allocations before and after it run on a
-// shallow stack.
-//
-// Every payload of the build is shared: a node's adopt wave sends one
-// payload to all its neighbors, and the completion downcast forwards
-// the parent's payload unchanged. Receivers only read them.
-//
-//go:noinline
-func (t *Tree) build(ctx *Ctx, notified []uint64) Message {
-	adopted := ctx.ID() == t.Root
-	heard := 0
-	reported := 0
-	childrenKnown := false
-	sentReport := false
-	height := 0 // height of my subtree
-	size := 1
-
-	if adopted {
-		sendAll(ctx, Message{tagAdopt, 0, 0}) // parentID+1 = 0 (none)
-		if ctx.Degree() == 0 {
-			t.Height, t.Size, t.SubtreeHeight = 0, 1, 0
-			return nil
-		}
-	}
-
-	// The build is event-driven: everything a node does reacts to a
-	// received message, so the waits (for the adoption wave, the child
-	// reports, the completion downcast) run as engine sleeps
-	// (NextDelivery) instead of one resumption per round. The one
-	// round-driven action — the report deferred by one round because the
-	// adopt wave just used the parent edge — forces a single plain Next.
-	deferredReport := false
-	for {
-		var ins []Incoming
-		if deferredReport {
-			deferredReport = false
-			ins = ctx.Next()
-		} else {
-			ins = ctx.NextDelivery()
-		}
-		adoptedThisRound := false
-		for _, in := range ins {
-			switch in.Payload[0] {
-			case tagAdopt:
-				if i := ctx.NeighborIndex(in.From); notified[i] == noParentChoice {
-					heard++
-					notified[i] = in.Payload[2]
-				}
-				if !adopted {
-					adopted = true
-					adoptedThisRound = true
-					t.Parent = in.From
-					t.Depth = int(in.Payload[1]) + 1
-					sendAll(ctx, Message{tagAdopt, uint64(t.Depth), uint64(t.Parent) + 1})
-				}
-			case tagReport:
-				if h := int(in.Payload[1]) + 1; h > height {
-					height = h
-				}
-				size += int(in.Payload[2])
-				reported++
-			case tagTreeDone:
-				t.Height = int(in.Payload[1] >> 32)
-				t.Size = int(in.Payload[1] & 0xffffffff)
-				return in.Payload
-			default:
-				buildTagFault(in.Payload[0])
-			}
-		}
-		if adopted && !childrenKnown && heard == ctx.Degree() {
-			childrenKnown = true
-			t.adoptChildren(ctx, notified)
-		}
-		// Defer the report by one round if the adopt wave just went out on
-		// the same edge (one message per edge per round).
-		if childrenKnown && !sentReport && reported == len(t.Children) && adoptedThisRound {
-			deferredReport = true
-		}
-		if childrenKnown && !sentReport && reported == len(t.Children) && !adoptedThisRound {
-			sentReport = true
-			t.SubtreeHeight = height
-			if ctx.ID() == t.Root {
-				t.Height = height
-				t.Size = size
-				sync := ctx.Round() + height + 3
-				// Height and size are both < 2³² (one O(log n)-bit field
-				// each), packed into one word to keep the completion message
-				// within the report-message width.
-				return Message{tagTreeDone, uint64(height)<<32 | uint64(size), uint64(sync)}
-			}
-			ctx.Send(t.Parent, Message{tagReport, uint64(height), uint64(size)})
-		}
-	}
-}
-
-// noParentChoice marks a neighbor of BuildBFSTree not yet heard from.
-const noParentChoice = ^uint64(0)
-
-// sendAll sends msg to every neighbor of the node.
-//
-//go:noinline
-func sendAll(ctx *Ctx, msg Message) {
-	for _, w := range ctx.Neighbors() {
-		ctx.Send(int(w), msg)
-	}
-}
-
-// adoptChildren records the neighbors that announced this node as their
-// parent, ascending.
-//
-//go:noinline
-func (t *Tree) adoptChildren(ctx *Ctx, notified []uint64) {
-	me := uint64(ctx.ID()) + 1
-	kids := 0
-	for _, p := range notified {
-		if p == me {
-			kids++
-		}
-	}
-	if kids == 0 {
-		return
-	}
-	t.Children = make([]int, 0, kids)
-	for i, w := range ctx.Neighbors() {
-		if notified[i] == me {
-			t.Children = append(t.Children, int(w))
-		}
-	}
-}
-
-// buildTagFault reports a message of an unknown tag during the build.
-//
-//go:noinline
-func buildTagFault(tag uint64) {
-	panic(fmt.Sprintf("congest: unexpected tag %d during tree build", tag))
-}
-
 // ConvergeSumLockstepTo computes the component-wise sum of vec over all
 // nodes of the tree (same length everywhere, at most MaxWords−2 values)
 // and returns the total at every node in round until. Every tree node
-// must enter in the same round start, as after BuildBFSTree or a
-// SpinUntil, and until must be at least start+Height+Depth at every
+// must enter in the same round start, as after a SpinUntil, and until must be at least start+Height+Depth at every
 // node (start+2·Height covers them all). Under that contract every
 // message's round is known in advance:
 //

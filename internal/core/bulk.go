@@ -10,7 +10,8 @@ import (
 	"smallbandwidth/internal/gf2"
 )
 
-// phaseHub centralizes one component's seed-bit loop. In the
+// phaseHub centralizes one component's tree aggregations: the seed-bit
+// loop, and the alive count at the top of every iteration. In the
 // distributed formulation every one of the D seed bits costs one tree
 // aggregation — 2(size−1) messages rippling up and down the BFS tree
 // over 2·Height+6 rounds — and at the scale tiers those aggregation
@@ -34,20 +35,21 @@ import (
 // every owner that reads it as a neighbor. build lays the table out
 // once per run into a sealed base copy; each phase starts from a fresh
 // copy of it and folds every chosen bit in. When D > 64 no sheet holds
-// the forms and the hub walks the slots' coins with the scalar kernel.
+// the forms and the hub walks each owned edge with the scalar kernel,
+// which computes the neighbor's marginal itself.
 //
 // Within one seed bit every node's edge terms are independent — only
 // their aggregation has an order — so the hub fans each bit out over
 // work bands, contiguous slot ranges cut once per phase at equal work
 // (cutBands), each band on its own split of the shared basis. The cuts
-// fall on sheet boundaries, so each sheet belongs to one band. Pass 1:
-// every band folds the previously chosen bit into its sheets, then
-// every slot whose marginal an owned edge reads writes its own coin's
-// marginal pair into the per-bit table marg. Pass 2: every slot
-// evaluates its owned edges, reading each neighbor's lanes, coin and
-// marginal by slot, from whichever band's sheet holds them: no pass 2
-// writes a sheet. Only the tree-order fold and the FixBit stay
-// sequential on the coordinator.
+// fall on sheet boundaries, so each sheet belongs to one band. Pass 1,
+// with a lane table only: every band folds the previously chosen bit
+// into its sheets, then every slot whose marginal an owned edge reads
+// writes its own coin's marginal pair into the per-bit table marg.
+// Pass 2: every slot evaluates its owned edges, reading each neighbor's
+// lanes, coin and marginal by slot, from whichever band's sheet holds
+// them: no pass 2 writes a sheet. Only the tree-order fold and the
+// FixBit stay sequential on the coordinator.
 //
 // Seed bits that no coin form contains are not evaluated at all. For
 // such a bit both branches of every slot's pair are the same floats, so
@@ -76,24 +78,32 @@ import (
 //     finished accumulator in child arrival order — ascending subtree
 //     height, then ascending ID. The hub folds slot accumulators in
 //     exactly that order (kids sorted by (height, ID), parents after
-//     children), so the root total — and hence every argmin choice —
-//     is the bit-identical float.
+//     children, all read off the run's BFS layout), so the root total
+//     — and hence every argmin choice — is the bit-identical float.
 //  3. Rounds, messages, words, and widths are charged as measured:
 //     D aggregations of 2(size−1) messages × 4 words over
 //     D·(2·Height+6) rounds, which is exactly what the reference's
 //     waves cost (and zero messages for singleton components, whose
 //     aggregations never send).
 //
+// The alive count is the simplest aggregation: every node arrives at
+// the iteration top, after its commit, and the component's last arrival
+// counts the alive slots and charges one aggregation of 2(size−1)
+// messages × 4 words. Every node sleeps through the aggregation's span
+// (2·Height+6 rounds) and reads the count, as every node read the
+// converge's total. The charge lands after the commit round's cut was
+// staged, so that cut's Stats leave it out, as they left out the wave.
+//
 // Coordination is scheduling-independent. Every node registers its
 // slot once, at node start. In each phase only the alive registrants
 // arrive: a node colored in an earlier iteration sleeps through the
 // whole iteration (sleepIteration), and its slot contributes a zero
 // pair and does no band work. The arrival that reaches the component's
-// alive count — the iteration-top converge's total, known to every
-// node — coordinates (any alive node; the choice is unobservable), and
-// everyone else parks in SpinUntil. The coordinator waits only on its
-// own band goroutines, never on another node, as the engine requires of
-// a node program outside its round calls. The sleepers run again only
+// alive count coordinates (any alive node; the choice is
+// unobservable), and everyone else parks in SpinUntil. A coordinator,
+// of a phase or of an alive count, waits only on its own band
+// goroutines, never on another node, as the engine requires of a node
+// program outside its round calls. The sleepers run again only
 // in a later round, after the coordinator has parked too, so the
 // engine's coroutine switches and its round loop order the
 // coordinator's writes before every sleeper's reads.
@@ -104,6 +114,7 @@ type phaseHub struct {
 	size    int
 	p       *Params
 	arrived atomic.Int64
+	alive   int64 // the last iteration top's alive count, read by every node on wake
 
 	// Coordinator-only state below; the arrival counter orders every
 	// alive slot's phase writes before the coordinator's reads (a
@@ -117,7 +128,7 @@ type phaseHub struct {
 	slots []hubSlot
 	order []int32 // fold order: slot indexes, ascending (SubtreeHeight, slot)
 	acc   [][2]float64
-	marg  []gf2.ProbPair // per-bit table: slot → own-coin marginal pair
+	marg  []gf2.ProbPair // per-bit table: slot → own-coin marginal pair (lane table only)
 	basis gf2.Basis
 	built bool
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
@@ -144,8 +155,7 @@ type phaseHub struct {
 
 type hubSlot struct {
 	ns   *nodeState
-	subH int32
-	kids []int32 // child slot indexes, ascending (SubtreeHeight, ID)
+	kids []int32 // child slot indexes, in fold order (layFold)
 }
 
 // newPhaseHub sizes a hub for a component of size nodes, fanning its
@@ -172,9 +182,51 @@ func newPhaseHub(size int, p *Params, bands int) *phaseHub {
 	return h
 }
 
-// build assembles the fold schedule from the registered slots' BFS
-// trees and lays every slot's forms out in the lane table; runs once,
-// on the first phase (trees and forms are fixed per run).
+// layFold assembles the fold schedule from the component's BFS tree in
+// the run's layout: comp lists the component's nodes, slot order, and
+// rankOf maps a node to its slot.
+//
+// The order is the one the pinned results were made with, which is not
+// always the converge's. Slots take their subtree heights in slot
+// order, and each slot's children are sorted by the heights known at
+// that point, so a child whose slot comes later sorts as a leaf. When
+// that child is not a leaf, the hub folds it earlier than its chunk
+// arrives, and the root total can round differently from refEval's.
+func (h *phaseHub) layFold(comp []int, lay *congest.BFSLayout, rankOf []uint64) {
+	subH := make([]int32, h.size) // by slot, filled in slot order
+	for si, v := range comp {
+		sl := &h.slots[si]
+		subH[si] = lay.SubtreeHeight[v]
+		if children := lay.Children(v); len(children) > 0 {
+			sl.kids = make([]int32, len(children))
+			for k, c := range children {
+				sl.kids[k] = int32(rankOf[c])
+			}
+			// Child accumulators arrive in round order — ascending subtree
+			// height — with ascending IDs within a round. Children is
+			// ID-ascending, so a stable sort by height preserves the
+			// within-round order, wherever the heights are known yet.
+			kids := sl.kids
+			sort.SliceStable(kids, func(a, b int) bool {
+				return subH[kids[a]] < subH[kids[b]]
+			})
+		}
+	}
+	h.order = make([]int32, h.size)
+	for i := range h.order {
+		h.order[i] = int32(i)
+	}
+	ord := h.order
+	sort.SliceStable(ord, func(a, b int) bool {
+		return subH[ord[a]] < subH[ord[b]]
+	})
+	if last := ord[h.size-1]; last != 0 {
+		panic(fmt.Sprintf("core: phase hub fold order ends at slot %d, not the root", last))
+	}
+}
+
+// build lays every slot's forms out in the lane table; runs once, on
+// the first phase, when every node's ψ and so its forms are final.
 func (h *phaseHub) build() {
 	if h.table != nil {
 		for si := range h.slots {
@@ -186,36 +238,6 @@ func (h *phaseHub) build() {
 		for k := range h.base {
 			h.base[k].Seal()
 		}
-	}
-	for si := range h.slots {
-		sl := &h.slots[si]
-		t := sl.ns.tree
-		sl.subH = int32(t.SubtreeHeight)
-		if len(t.Children) > 0 {
-			sl.kids = make([]int32, len(t.Children))
-			for k, c := range t.Children {
-				sl.kids[k] = int32(sl.ns.rankOf[c])
-			}
-			// Child accumulators arrive in round order — ascending subtree
-			// height — with ascending IDs within a round. Children is
-			// ID-ascending, so a stable sort by height preserves the
-			// within-round order.
-			kids := sl.kids
-			sort.SliceStable(kids, func(a, b int) bool {
-				return h.slots[kids[a]].subH < h.slots[kids[b]].subH
-			})
-		}
-	}
-	h.order = make([]int32, h.size)
-	for i := range h.order {
-		h.order[i] = int32(i)
-	}
-	ord := h.order
-	sort.SliceStable(ord, func(a, b int) bool {
-		return h.slots[ord[a]].subH < h.slots[ord[b]].subH
-	})
-	if last := ord[h.size-1]; last != 0 {
-		panic(fmt.Sprintf("core: phase hub fold order ends at slot %d, not the root", last))
 	}
 	h.built = true
 }
@@ -248,7 +270,9 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 			}
 			h.sbs[b] = sb
 		}
-		h.forBands(passMarginals)
+		if h.table != nil {
+			h.forBands(passMarginals)
+		}
 		h.forBands(passEdges)
 		for _, sb := range h.sbs {
 			sb.Release()
@@ -424,13 +448,9 @@ func (h *phaseHub) evalPhaseBit(sb *gf2.SplitBasis, si int) (x0, x1 float64) {
 }
 
 // ownMarginal returns slot si's own coin marginal under both branches
-// of sb's split bit, read off its lanes or walked by the scalar kernel
-// when there is no lane table: the slot's entry in the per-bit table.
+// of sb's split bit, read off its lanes: the slot's entry in the
+// per-bit table.
 func (h *phaseHub) ownMarginal(sb *gf2.SplitBasis, si int) gf2.ProbPair {
-	if h.table == nil {
-		p0, p1 := sb.ProbOnePair(h.slots[si].ns.phMyCoin)
-		return gf2.ProbPair{P0: p0, P1: p1}
-	}
 	sheet, cu := h.lanes(si)
 	req := [1]gf2.BlockCoin{cu}
 	var out [1]gf2.ProbPair
@@ -445,7 +465,7 @@ func (h *phaseHub) ownMarginal(sb *gf2.SplitBasis, si int) gf2.ProbPair {
 func (ns *nodeState) runPhaseBulk() gf2.Vec128 {
 	h := ns.hub
 	start := ns.ctx.Round()
-	if h.arrived.Add(1) == ns.compAlive {
+	if h.arrived.Add(1) == h.alive {
 		h.coordinate(ns.ctx)
 	}
 	// The segment's exact span: D aggregations (every node computes the
@@ -474,6 +494,40 @@ func (h *phaseHub) coordinate(ctx *congest.Ctx) {
 		edges := int64(h.size - 1)
 		d := int64(h.p.D)
 		ctx.ChargeTraffic(d*2*edges, d*8*edges, 4)
+	}
+	h.arrived.Store(0)
+}
+
+// countAlive is a node's entry to the hub at the top of an iteration:
+// arrive, let the component's last arrival tally the alive slots, and
+// sleep through the aggregation's exact span. It returns the count, and
+// advances the node's aggregation counter as the aggregation would.
+func (h *phaseHub) countAlive(ns *nodeState) int64 {
+	start := ns.ctx.Round()
+	if h.arrived.Add(1) == int64(h.size) {
+		h.tallyAlive(ns.ctx)
+	}
+	congest.SpinUntil(ns.ctx, start+ns.convergeSpan())
+	ns.op++
+	return h.alive
+}
+
+// tallyAlive is the last arrival's count of the component's alive
+// slots. It charges what the aggregation wave would have carried: one
+// 4-word chunk up and one down per tree edge, nothing on a singleton.
+//
+//go:noinline
+func (h *phaseHub) tallyAlive(ctx *congest.Ctx) {
+	alive := int64(0)
+	for si := range h.slots {
+		if h.slots[si].ns.alive {
+			alive++
+		}
+	}
+	h.alive = alive
+	if h.size > 1 {
+		edges := int64(h.size - 1)
+		ctx.ChargeTraffic(2*edges, 8*edges, 4)
 	}
 	h.arrived.Store(0)
 }

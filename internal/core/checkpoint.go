@@ -8,11 +8,11 @@ package core
 // protocol state at the top of a partial-coloring iteration — and how a
 // fresh run restores from such a cut: done nodes are grafted straight
 // into the Result, live nodes skip the tree build and Linial segments
-// (their outcome is in the blob) and re-enter the iteration loop at the
-// recorded iteration and engine round. Because the protocol is
-// deterministic, the resumed run reproduces the uninterrupted run's
-// colors, Stats, and telemetry bit for bit — the property the
-// crash-at-every-round sweep pins.
+// (their outcome is in the run's BFS layout and the blob) and re-enter
+// the iteration loop at the recorded iteration and engine round.
+// Because the protocol is deterministic, the resumed run reproduces the
+// uninterrupted run's colors, Stats, and telemetry bit for bit — the
+// property the crash-at-every-round sweep pins.
 
 import (
 	"encoding/binary"
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"smallbandwidth/internal/congest"
 	"smallbandwidth/internal/graph"
@@ -39,12 +38,11 @@ type Checkpoint struct {
 	Snap *congest.RunSnapshot
 }
 
-// ckRun carries checkpoint collection and restore state into
-// runColoringDomains.
+// ckRun carries checkpoint collection and the snapshot to restore from
+// into runColoringDomains.
 type ckRun struct {
-	ck      *congest.Checkpointer
-	snap    *congest.RunSnapshot
-	restore []*nodeRestore // by node ID; nil entries start fresh
+	ck   *congest.Checkpointer
+	snap *congest.RunSnapshot
 }
 
 // nodeRestore is one node's decoded checkpoint blob.
@@ -58,14 +56,13 @@ type nodeRestore struct {
 	psi       uint64
 	op        uint64
 
-	// Spanning-tree view (congest.Tree), flattened. Children are
-	// derived from the component's parent pointers on decode.
+	// Spanning-tree view, flattened; decodeRestore demands the run's
+	// layout of it.
 	parent        int
 	depth         int
 	height        int
 	size          int
 	subtreeHeight int
-	children      []int
 
 	list     []uint32
 	aliveNbr []bool
@@ -88,11 +85,13 @@ func (ns *nodeState) commitBlob(iter int) []byte {
 	b = binary.AppendVarint(b, int64(ns.coloredAt))
 	b = binary.AppendUvarint(b, ns.psi)
 	b = binary.AppendUvarint(b, ns.op)
-	b = binary.AppendVarint(b, int64(ns.tree.Parent))
-	b = binary.AppendUvarint(b, uint64(ns.tree.Depth))
-	b = binary.AppendUvarint(b, uint64(ns.tree.Height))
-	b = binary.AppendUvarint(b, uint64(ns.tree.Size))
-	b = binary.AppendUvarint(b, uint64(ns.tree.SubtreeHeight))
+	v := ns.ctx.ID()
+	tl := ns.lay.TreeOf(v)
+	b = binary.AppendVarint(b, int64(ns.lay.Parent[v]))
+	b = binary.AppendUvarint(b, uint64(ns.lay.Depth[v]))
+	b = binary.AppendUvarint(b, uint64(tl.Height))
+	b = binary.AppendUvarint(b, uint64(tl.Size))
+	b = binary.AppendUvarint(b, uint64(ns.lay.SubtreeHeight[v]))
 	b = binary.AppendUvarint(b, uint64(len(ns.list)))
 	prev := int64(-1)
 	for _, c := range ns.list {
@@ -123,9 +122,9 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 // applyRestore overwrites the freshly initialized node state with the
-// decoded checkpoint state, reconstructing the tree view locally (the
-// build protocol already ran before the cut; re-running it would charge
-// rounds the original run never paid).
+// decoded checkpoint state. The tree is the run's layout, which
+// decodeRestore checked the blob against; the build ran before the cut,
+// and replaying it would charge rounds the original run never paid.
 func (ns *nodeState) applyRestore(rs *nodeRestore) {
 	ns.alive = rs.alive
 	ns.colored = rs.colored
@@ -136,15 +135,6 @@ func (ns *nodeState) applyRestore(rs *nodeRestore) {
 	ns.list = ns.list[:len(rs.list)]
 	copy(ns.list, rs.list)
 	copy(ns.aliveNbr, rs.aliveNbr)
-	ns.tree = &congest.Tree{
-		Root:          ns.root,
-		Parent:        rs.parent,
-		Children:      rs.children,
-		Depth:         rs.depth,
-		Height:        rs.height,
-		Size:          rs.size,
-		SubtreeHeight: rs.subtreeHeight,
-	}
 }
 
 // decodeNodeBlob parses and structurally validates one commit blob.
@@ -216,11 +206,11 @@ func decodeNodeBlob(b []byte, deg, listCap int, c uint32) (*nodeRestore, error) 
 	return rs, nil
 }
 
-// decodeRestore decodes every node blob of the snapshot, validates the
-// cut against the instance, and derives each node's tree children from
-// the component's parent pointers (ascending, matching the order the
-// build protocol produces from sorted neighbor lists).
-func decodeRestore(inst *graph.Instance, comps [][]int, snap *congest.RunSnapshot) ([]*nodeRestore, error) {
+// decodeRestore decodes every node blob of the snapshot and validates
+// the cut against the instance: every node's tree fields must be the
+// ones the run's layout gives it, and every node of a component must be
+// at the same iteration.
+func decodeRestore(inst *graph.Instance, comps [][]int, lay *congest.BFSLayout, snap *congest.RunSnapshot) ([]*nodeRestore, error) {
 	restore := make([]*nodeRestore, inst.G.N())
 	compByRoot := make(map[int32][]int, len(comps))
 	for _, comp := range comps {
@@ -250,47 +240,25 @@ func decodeRestore(inst *graph.Instance, comps [][]int, snap *congest.RunSnapsho
 			if err != nil {
 				return nil, fmt.Errorf("core: node %d: %w", v, err)
 			}
+			tl := lay.TreeOf(v)
+			if rs.parent != int(lay.Parent[v]) || rs.depth != int(lay.Depth[v]) || rs.height != tl.Height ||
+				rs.size != tl.Size || rs.subtreeHeight != int(lay.SubtreeHeight[v]) {
+				return nil, fmt.Errorf("core: node %d's checkpointed tree (parent %d, depth %d, height %d, size %d, subtree height %d) is not the graph's BFS tree",
+					v, rs.parent, rs.depth, rs.height, rs.size, rs.subtreeHeight)
+			}
 			rs.done = nc.Done
 			restore[v] = rs
 		}
-		// Component-wide consistency: one tree rooted at the cut root with
-		// agreed global geometry, every node at the same iteration.
+		// Component-wide consistency: every node at the same iteration.
 		first := restore[comp[0]]
 		for _, v := range comp {
-			rs := restore[v]
-			if rs.iter != first.iter || rs.done != first.done ||
-				rs.height != first.height || rs.size != first.size {
+			if rs := restore[v]; rs.iter != first.iter || rs.done != first.done {
 				return nil, fmt.Errorf("core: snapshot cut of component %d is internally inconsistent at node %d",
 					cut.Root, v)
-			}
-			if v == comp[0] {
-				if rs.parent != -1 {
-					return nil, fmt.Errorf("core: component root %d has tree parent %d", v, rs.parent)
-				}
-			} else if !hasNeighbor(inst.G, v, rs.parent) {
-				return nil, fmt.Errorf("core: node %d names tree parent %d, not a neighbor", v, rs.parent)
-			}
-		}
-		if first.size != len(comp) {
-			return nil, fmt.Errorf("core: snapshot cut of component %d records tree size %d for %d nodes",
-				cut.Root, first.size, len(comp))
-		}
-		for _, v := range comp { // ascending, so children lists come out ascending
-			if p := restore[v].parent; p >= 0 {
-				restore[p].children = append(restore[p].children, v)
 			}
 		}
 	}
 	return restore, nil
-}
-
-// hasNeighbor reports whether w is a neighbor of v (sorted rows).
-func hasNeighbor(g *graph.Graph, v, w int) bool {
-	if w < 0 || w > math.MaxInt32 {
-		return false
-	}
-	_, ok := slices.BinarySearch(g.Neighbors(v), int32(w))
-	return ok
 }
 
 // ListColorResumable is ListColorCONGEST with checkpoint/restore: ck,
@@ -316,15 +284,7 @@ func ListColorResumable(inst *graph.Instance, opts Options, ck *congest.Checkpoi
 	if inst.G.N() == 0 {
 		return &Result{Params: p, Done: true}, nil
 	}
-	comps := inst.G.ConnectedComponents()
-	ckr := &ckRun{ck: ck}
-	if snap != nil {
-		ckr.snap = snap
-		if ckr.restore, err = decodeRestore(inst, comps, snap); err != nil {
-			return nil, err
-		}
-	}
-	res, _, err := runColoringDomains(inst, opts, p, nil, comps, ckr)
+	res, _, err := runColoringDomains(inst, opts, p, nil, nil, &ckRun{ck: ck, snap: snap})
 	return res, err
 }
 

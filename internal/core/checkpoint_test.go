@@ -7,7 +7,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"smallbandwidth/internal/congest"
@@ -268,6 +271,102 @@ func TestResumableRejectsCorruptBlobs(t *testing.T) {
 			w.warp(snap)
 			if _, err := ListColorResumable(inst, Options{}, nil, snap); err == nil {
 				t.Fatal("corrupt snapshot was accepted")
+			}
+		})
+	}
+}
+
+// withTreeField returns a copy of commit blob b whose tree field k
+// (0 parent, 1 depth, 2 height, 3 size, 4 subtree height) is set to
+// val. The fields before them are iter, the alive and colored bytes,
+// color, coloredAt, ψ and op.
+func withTreeField(t *testing.T, b []byte, k int, val int64) []byte {
+	t.Helper()
+	pos := 0
+	skip := func(signed bool) int64 {
+		var x int64
+		var n int
+		if signed {
+			x, n = binary.Varint(b[pos:])
+		} else {
+			var u uint64
+			u, n = binary.Uvarint(b[pos:])
+			x = int64(u)
+		}
+		if n <= 0 {
+			t.Fatalf("blob ends at byte %d", pos)
+		}
+		pos += n
+		return x
+	}
+	skip(false) // iter
+	pos += 2    // alive, colored
+	skip(false) // color
+	skip(true)  // coloredAt
+	skip(false) // ψ
+	skip(false) // op
+	out := append([]byte(nil), b[:pos]...)
+	for i := 0; i < 5; i++ {
+		x := skip(i == 0)
+		if i == k {
+			x = val
+		}
+		if i == 0 {
+			out = binary.AppendVarint(out, x)
+		} else {
+			out = binary.AppendUvarint(out, uint64(x))
+		}
+	}
+	return append(out, b[pos:]...)
+}
+
+// TestResumableRejectsForeignTree: a snapshot whose blob names a tree
+// other than the graph's BFS tree — another parent one layer up, a
+// depth or a subtree height that still passes the blob's own range
+// checks — is refused with an error, not a panic, before any node
+// program starts.
+func TestResumableRejectsForeignTree(t *testing.T) {
+	g := graph.Grid2D(4, 5)
+	inst := mustInstance(t, g)
+	ck := &congest.Checkpointer{KeepAll: true}
+	if _, err := ListColorResumable(inst, Options{}, ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	rounds := ck.CutRounds()
+	mid := rounds[len(rounds)/2]
+	// Node 6 sits at row 1, column 1: depth 2 below parent 1, with node 5
+	// another neighbor at depth 1; its subtree is the column below it, of
+	// height 2 in a tree of height 7.
+	lay := congest.LayoutBFS(g)
+	if lay.Parent[6] != 1 || lay.Depth[6] != 2 || lay.Depth[5] != 1 || lay.SubtreeHeight[6] != 2 || lay.Trees[0].Height != 7 {
+		t.Fatalf("node 6 has parent %d, depth %d, subtree height %d", lay.Parent[6], lay.Depth[6], lay.SubtreeHeight[6])
+	}
+	if b := ck.At(mid).Cuts[0].Nodes[6].Blob; !bytes.Equal(withTreeField(t, b, 0, 1), b) {
+		t.Fatal("rewriting node 6's parent with its own value changed the blob")
+	}
+	for _, tc := range []struct {
+		name  string
+		field int
+		val   int64
+	}{
+		{"parent", 0, 5},
+		{"depth", 1, 3},
+		{"subtree-height", 4, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// At shares the cut's Nodes with the checkpointer: rewrite a copy.
+			snap := ck.At(mid)
+			nodes := slices.Clone(snap.Cuts[0].Nodes)
+			snap.Cuts[0].Nodes = nodes
+			nodes[6].Blob = withTreeField(t, nodes[6].Blob, tc.field, tc.val)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("resume panicked: %v", p)
+				}
+			}()
+			_, err := ListColorResumable(inst, Options{}, nil, snap)
+			if err == nil || !strings.Contains(err.Error(), "not the graph's BFS tree") {
+				t.Fatalf("resume from a foreign %s returned %v", tc.name, err)
 			}
 		})
 	}

@@ -205,19 +205,18 @@ func groupIdenticalComponents(inst *graph.Instance, comps [][]int) [][]int {
 // instance then stands for components of a larger original. comps, when
 // non-nil, is inst.G.ConnectedComponents() precomputed by the caller.
 // ckr, when non-nil, attaches checkpoint collection and/or restores the
-// run from decoded per-node checkpoint state (see checkpoint.go);
-// restored runs are incompatible with telemetry weighting.
+// run from a snapshot, whose node blobs it decodes and checks against
+// the run's BFS layout (see checkpoint.go); restored runs are
+// incompatible with telemetry weighting.
 func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights []int, comps [][]int, ckr *ckRun) (*Result, []congest.DomainStats, error) {
-	// Per-component BFS roots (the smallest member), component-local
-	// ranks, and component parameter sets. Every node can derive all
-	// three locally in O(D) rounds by a leader-election flood plus local
-	// aggregates, so handing them to the programs charges no rounds. The
-	// rank seeds the Linial input coloring (ranks are distinct within a
-	// component, which is all Linial needs).
+	// Component-local ranks and component parameter sets. Every node can
+	// derive both locally in O(D) rounds by a leader-election flood plus
+	// local aggregates, so handing them to the programs charges no
+	// rounds. The rank seeds the Linial input coloring (ranks are
+	// distinct within a component, which is all Linial needs).
 	if comps == nil {
 		comps = inst.G.ConnectedComponents()
 	}
-	roots := make([]int32, inst.G.N())
 	ranks := make([]uint64, inst.G.N())
 	params := make([]*Params, inst.G.N())
 	perComp := len(comps) > 1 || weights != nil
@@ -237,23 +236,31 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 			}
 		}
 		for i, v := range comp {
-			roots[v] = int32(comp[0])
 			ranks[v] = uint64(i)
 			params[v] = cp
 		}
 	}
 
+	// Every component's BFS tree, rooted at its smallest member, as the
+	// flooding build would leave it, with the round the build returns in
+	// and the traffic it sends: the nodes replay the build from it
+	// (layTree) instead of running it.
+	lay := congest.LayoutBFS(inst.G)
+
 	// One phase hub per component: the bulk seed-bit aggregation seam
 	// (bulk.go), fanned out over as many work bands as the engine would
-	// cut delivery shards for the component alone. opts.refEval builds
-	// none: its phases run runPhaseRef's real aggregation waves, which
-	// the differential tests pin the hub against.
+	// cut delivery shards for the component alone, and the tally of the
+	// iteration-top alive count. opts.refEval builds none: its alive
+	// counts and phases run real aggregation waves, which the
+	// differential tests pin the hub against.
 	var hubs map[int]*phaseHub
 	if !opts.refEval {
 		hubs = make(map[int]*phaseHub, len(comps))
 		for _, comp := range comps {
 			bands := congest.DeliveryShards(len(comp), opts.Workers)
-			hubs[comp[0]] = newPhaseHub(len(comp), params[comp[0]], bands)
+			h := newPhaseHub(len(comp), params[comp[0]], bands)
+			h.layFold(comp, lay, ranks)
+			hubs[comp[0]] = h
 		}
 	}
 
@@ -263,7 +270,7 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 		inst:        inst,
 		opts:        opts,
 		params:      params,
-		roots:       roots,
+		lay:         lay,
 		ranks:       ranks,
 		weights:     weights,
 		hubs:        hubs,
@@ -280,9 +287,14 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 	if ckr != nil {
 		cfg.Checkpoint = ckr.ck
 		cfg.Resume = ckr.snap
-		cr.restore = ckr.restore
-		if cr.restore != nil && weights != nil {
-			return nil, nil, fmt.Errorf("core: cannot resume a telemetry-weighted run")
+		if ckr.snap != nil {
+			if weights != nil {
+				return nil, nil, fmt.Errorf("core: cannot resume a telemetry-weighted run")
+			}
+			var err error
+			if cr.restore, err = decodeRestore(inst, comps, lay, ckr.snap); err != nil {
+				return nil, nil, err
+			}
 		}
 		// Nodes already done in the snapshot never rerun: graft their
 		// final state directly.
@@ -356,7 +368,7 @@ type coloringRun struct {
 	inst    *graph.Instance
 	opts    Options
 	params  []*Params
-	roots   []int32
+	lay     *congest.BFSLayout
 	ranks   []uint64
 	weights []int
 	hubs    map[int]*phaseHub // nil with opts.refEval
@@ -377,8 +389,9 @@ type coloringRun struct {
 // stack, which must hold the runtime's coroutine frames, the protocol
 // frames live at the node's deepest park, and whatever runs on top of
 // them — about 700 B for the protocol's share. So the functions that
-// stay live across round calls (program, run, loop, partialIteration,
-// misStep, runPhase, runPhaseBulk, finishPhase, finishIteration) keep
+// stay live across round calls (program, run, loop, aliveCount,
+// countAlive, partialIteration, misStep, runPhase, runPhaseBulk,
+// finishPhase, finishIteration) keep
 // to control flow. The work between two round calls runs in helpers
 // that return before the next park (sendPhase, bindPhase, sendBit,
 // takeBits, sendV4, …); node setup and the final write run out of
@@ -410,14 +423,16 @@ func (cr *coloringRun) newNode(ctx *congest.Ctx) (*nodeState, int) {
 		w = cr.weights[v]
 	}
 	ns := &nodeState{ctx: ctx, p: cr.params[v], opts: cr.opts,
-		root: int(cr.roots[v]), rank: cr.ranks[v], weight: w}
+		lay: cr.lay, rank: cr.ranks[v], weight: w}
 	if cr.hubs != nil {
-		// Register once, at node start: the hub's fold schedule needs
-		// every slot's tree, including the colored nodes that sleep
-		// through whole iterations and never enter a phase again.
-		ns.hub = cr.hubs[ns.root]
+		// Register once, at node start: the hub's alive tally reads every
+		// slot, including the colored nodes that sleep through whole
+		// iterations and never enter a phase again.
+		ns.hub = cr.hubs[cr.lay.TreeOf(v).Root]
 		ns.rankOf = cr.ranks
 		ns.hub.slots[ns.rank].ns = ns
+	} else {
+		ns.ref = cr.lay.Tree(v)
 	}
 	ns.init(cr.inst, cr.ar)
 	if cr.restore != nil && cr.restore[v] != nil {
@@ -428,10 +443,17 @@ func (cr *coloringRun) newNode(ctx *congest.Ctx) (*nodeState, int) {
 	return ns, -1
 }
 
-// record writes the finished node's final state into the run's result.
+// record writes the finished node's final state into the run's result,
+// and clears the node's hub slot: a component's nodes all finish after
+// the same final alive count, so no hub reads the slot again, and the
+// finished node's state and engine arenas can be collected while other
+// components still run.
 //
 //go:noinline
 func (cr *coloringRun) record(ns *nodeState) {
+	if ns.hub != nil {
+		ns.hub.slots[ns.rank].ns = nil
+	}
 	v := ns.ctx.ID()
 	cr.colors[v], cr.coloredFlag[v], cr.coloredAt[v] = ns.color, ns.colored, int32(ns.coloredAt)
 	if cr.pots != nil {
@@ -444,17 +466,15 @@ type nodeState struct {
 	ctx    *congest.Ctx
 	p      *Params
 	opts   Options
-	root   int    // BFS root of this node's connected component
 	rank   uint64 // rank within the component (sorted order); seeds Linial
 	weight int    // telemetry multiplier: how many identical components this node's component stands for
 
-	tree *congest.Tree
-	op   uint64
-
-	// compAlive is the component's alive count at the top of the current
-	// iteration (the alive-count converge's total): the number of nodes
-	// that enter each of the iteration's hub phases.
-	compAlive int64
+	// lay holds every component's BFS tree; ref is this node's view of
+	// its own, with opts.refEval only, whose aggregations run as real
+	// waves over it.
+	lay *congest.BFSLayout
+	ref *congest.Tree
+	op  uint64
 
 	psi       uint64   // Linial input color in [K]
 	list      []uint32 // remaining allowed colors
@@ -495,8 +515,8 @@ type nodeState struct {
 	margRead  bool    // some conflict neighbor owns an edge into this node (this phase)
 
 	// Bulk-aggregation seam (bulk.go): the component's phase hub and the
-	// shared node→rank table its fold schedule is built from. nil/unset
-	// with opts.refEval, whose phases run real aggregation waves.
+	// shared node→rank table that names a neighbor's hub slot. nil/unset
+	// with opts.refEval, whose aggregations run as real waves.
 	hub    *phaseHub
 	rankOf []uint64
 
@@ -657,13 +677,29 @@ func (ns *nodeState) init(inst *graph.Instance, ar *runArenas) {
 }
 
 func (ns *nodeState) run() {
-	ns.tree = congest.BuildBFSTree(ns.ctx, ns.root)
+	ns.layTree()
 	ns.runLinial()
 	ns.loop(0)
 }
 
+// layTree stands in for the flooding BFS build, whose outcome the run's
+// layout holds: the component's root charges the build's traffic, and
+// every node sleeps to the round the build returns in. A singleton's
+// build sends nothing and returns in round 0. The first commit comes
+// after the build, so every cut's Stats already hold the charge.
+//
+//go:noinline
+func (ns *nodeState) layTree() {
+	tl := ns.lay.TreeOf(ns.ctx.ID())
+	if ns.rank == 0 {
+		b := tl.Build
+		ns.ctx.ChargeTraffic(b.Messages, b.Words, b.MaxMessageWords)
+	}
+	congest.SpinUntil(ns.ctx, tl.Build.Rounds)
+}
+
 // loop runs the partial-coloring iterations from startIter (> 0 only on
-// a resumed node, whose tree, ψ, and list state were restored from a
+// a resumed node, whose ψ and list state were restored from a
 // checkpoint blob instead of re-running the build and Linial segments).
 //
 // The loop top is the protocol's commit barrier: every segment between
@@ -676,16 +712,10 @@ func (ns *nodeState) loop(startIter int) {
 	ns.myForms = ns.p.Fam.OutputFormsInto(ns.psi, ns.p.B, ns.myForms) // ψ is final here
 	for iter := startIter; ; iter++ {
 		ns.iterationTop(iter)
-		aliveVal := 0.0
-		if ns.alive {
-			aliveVal = 1
-		}
-		totals := ns.converge(aliveVal, 0)
-		if totals[0] == 0 || ns.opts.MaxIterations > 0 && iter >= ns.opts.MaxIterations {
+		if ns.aliveCount() == 0 || ns.opts.MaxIterations > 0 && iter >= ns.opts.MaxIterations {
 			ns.commitDone(iter)
 			return
 		}
-		ns.compAlive = int64(totals[0])
 		switch {
 		case ns.alive:
 			ns.partialIteration(iter)
@@ -699,8 +729,8 @@ func (ns *nodeState) loop(startIter int) {
 	}
 }
 
-// iterationTop is the loop top's work before the alive-count converge:
-// the injected crash of the resume tests, and the commit of the node's
+// iterationTop is the loop top's work before the alive count: the
+// injected crash of the resume tests, and the commit of the node's
 // state when a checkpointer is attached.
 //
 //go:noinline
@@ -719,7 +749,7 @@ func (ns *nodeState) iterationTop(iter int) {
 // in lockstep with the nodes that ran it.
 
 // convergeSpan is one tree aggregation, resynchronization included.
-func (ns *nodeState) convergeSpan() int { return 2*ns.tree.Height + 6 }
+func (ns *nodeState) convergeSpan() int { return 2*ns.lay.TreeOf(ns.ctx.ID()).Height + 6 }
 
 // seedBitsSpan is a phase's seed-bit loop: one aggregation per bit.
 func (ns *nodeState) seedBitsSpan() int { return ns.p.D * ns.convergeSpan() }
@@ -732,8 +762,8 @@ func (ns *nodeState) phaseSpan() int { return 1 + ns.seedBitsSpan() + 1 }
 // one round per color class.
 func (p *Params) misSpan() int { return len(p.MISSched) + int(p.MISK) }
 
-// iterationSpan is an iteration's body after the alive-count converge:
-// the phases, the V<4 exchange, the MIS step, and the announce round.
+// iterationSpan is an iteration's body after the alive count: the
+// phases, the V<4 exchange, the MIS step, and the announce round.
 func (ns *nodeState) iterationSpan() int {
 	return ns.p.LogC*ns.phaseSpan() + 1 + ns.p.misSpan() + 1
 }
@@ -1264,18 +1294,33 @@ func (ns *nodeState) runPhaseRef(l int) {
 	ns.finishPhase(bitPos, seed)
 }
 
+// aliveCount returns the component's alive count at the top of an
+// iteration: one aggregation of every node's alive bit, which the hub
+// tallies (countAlive) and refEval runs as a real wave.
+func (ns *nodeState) aliveCount() int64 {
+	if ns.hub != nil {
+		return ns.hub.countAlive(ns)
+	}
+	alive := 0.0
+	if ns.alive {
+		alive = 1
+	}
+	return int64(ns.converge(alive, 0)[0])
+}
+
 // converge aggregates the pair (x0, x1) over all nodes via the BFS tree
 // and returns the totals to every node, then resynchronizes the global
-// round so that fixed-length segments may follow.
+// round so that fixed-length segments may follow. Only refEval's
+// nodes, which hold the tree, run it.
 func (ns *nodeState) converge(x0, x1 float64) [2]float64 {
 	start := ns.ctx.Round()
 	ns.op++
 	// Lockstep contract: every converge starts right after the previous
-	// one's SpinUntil (or the synchronized tree build), so the
+	// one's SpinUntil (or layTree's), so the
 	// skip-scheduled aggregation applies — nodes sleep through the wave
 	// instead of ticking every round.
 	vec := [2]float64{x0, x1} // does not escape: the aggregation copies it
-	res := congest.ConvergeSumLockstepTo(ns.ctx, ns.tree, ns.op, vec[:], start+ns.convergeSpan())
+	res := congest.ConvergeSumLockstepTo(ns.ctx, ns.ref, ns.op, vec[:], start+ns.convergeSpan())
 	// Copy before returning: the result buffer lives on the tree.
 	return [2]float64{res[0], res[1]}
 }

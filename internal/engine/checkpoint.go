@@ -3,7 +3,7 @@
 // The engine cannot serialize a parked coroutine's stack, so a cut is a
 // contract between the engine and the node program: the program calls
 // Ctx.Commit(blob) at the top of a round — after consuming everything
-// Next (or SkipUntil/NextDelivery) handed it, before sending anything in
+// Next (or SkipUntil) handed it, before sending anything in
 // that round — handing the engine an opaque encoding of its full
 // protocol state. The engine supplies the other half of the cut: on
 // entering round R it stages the post-delivery queue backlog and the

@@ -3,8 +3,8 @@
 // It owns one copy of the parallel hot path:
 //
 //   - node programs that run as coroutines of their domain's goroutine,
-//     the only scheduler of its nodes: a round call (Next, SkipUntil,
-//     NextDelivery) parks the node with the round it wants back, and
+//     the only scheduler of its nodes: a round call (Next, SkipUntil)
+//     parks the node with the round it wants back, and
 //     between two rounds, with every node parked, the domain goroutine
 //     delivers and collects the next round's awake nodes from per-shard
 //     calendars — no barrier, channel or lock on the scheduling path;
@@ -20,11 +20,11 @@
 //     on quiet rounds, plus per-receiver dirty flags that keep a busy
 //     round's scan proportional to actual traffic instead of the edge
 //     set;
-//   - sleep primitives that take idle nodes off the round's resume list:
-//     SkipUntil (sleep to a known round, e.g. a scheduled
-//     resynchronization) and NextDelivery (sleep until the next message
-//     arrives), with skipped rounds advancing — and counted — on the
-//     other nodes' schedule or fast-forwarded when everyone sleeps;
+//   - a sleep primitive that takes idle nodes off the round's resume
+//     list: SkipUntil sleeps to a known round (a scheduled
+//     resynchronization, a deterministically scheduled message), with
+//     skipped rounds advancing — and counted — on the other nodes'
+//     schedule or fast-forwarded when everyone sleeps;
 //   - one independent lockstep domain per connected component of the
 //     topology: components exchange no messages, so each runs its own
 //     round loop and pool (bounded to GOMAXPROCS domains in flight), and
@@ -34,8 +34,8 @@
 // Receiver-sharding keeps everything deterministic: each inbox is filled
 // by exactly one worker, in ascending sender order — the exact delivery
 // order of a sequential scan — so Stats and protocol behavior are
-// bit-for-bit independent of the worker count, and the sleep primitives
-// wake a node in exactly the round a Next loop would have acted.
+// bit-for-bit independent of the worker count, and a sleeping node
+// wakes in exactly the round a Next loop would have acted.
 //
 // The engine is parameterized over an endpoint Topology. The CONGEST
 // simulator (internal/congest) is a thin adapter passing its
@@ -159,10 +159,6 @@ type Stats struct {
 // errAborted unwinds node programs when any node fails or the run stops.
 var errAborted = errors.New("engine: run aborted")
 
-// wakeOnDelivery is the wake round of a node parked in NextDelivery: it
-// runs in the first round that delivers it a message.
-const wakeOnDelivery = -1
-
 // fifo is a per-directed-edge message queue. The head index replaces
 // memmove-on-pop, and a drained queue rewinds to reuse its backing
 // array, so steady-state traffic does not allocate.
@@ -200,7 +196,7 @@ func (q *fifo) pop() Message {
 // Ctx is a node's handle to the simulation. All methods must be called
 // only from the node's own program. The program runs as a coroutine of
 // its domain's goroutine and may wait on another node's progress only
-// through the round calls Next, SkipUntil and NextDelivery: any other
+// through the round calls Next and SkipUntil: any other
 // wait (a channel, a lock held across a round call, a spin on shared
 // state) can never be released, because the node it waits for runs only
 // while this one is parked.
@@ -257,8 +253,7 @@ type Ctx struct {
 
 	// The node's coroutine (see start): resume and stop are called by
 	// the goroutine scheduling the node's shard, yield by the program's
-	// round calls. wake is the round the parked node wants back, or
-	// wakeOnDelivery.
+	// round calls. wake is the round the parked node wants back.
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
@@ -469,8 +464,8 @@ func (c *Ctx) Pending() bool {
 
 // Next ends the node's current round and parks it until the next one;
 // it returns the messages delivered to this node for the new round. The
-// returned slice is valid until the node's next round call (Next,
-// SkipUntil or NextDelivery), which reuses its buffer.
+// returned slice is valid until the node's next round call (Next or
+// SkipUntil), which reuses its buffer.
 func (c *Ctx) Next() []Incoming {
 	return c.park(c.r.round + 1)
 }
@@ -493,21 +488,6 @@ func (c *Ctx) SkipUntil(target int) []Incoming {
 		return nil
 	}
 	return c.park(target)
-}
-
-// NextDelivery ends the node's current round and parks it until the
-// first round that delivers it a message; it returns that round's
-// messages. Rounds in between advance on the other nodes' schedule
-// without resuming this node, so a wait of unknown length for the next
-// protocol event (a flooding wave, a tree report) costs one sleep
-// instead of one resumption per round. Stats are unchanged — the node
-// observes the message in exactly the round it would have seen it from
-// a Next loop. If every node of the domain is waiting and nothing is
-// queued, no message can ever arrive and the run fails with a deadlock
-// error (the analogue of MaxRounds for event-driven waits). The
-// returned slice is valid until the node's next round call.
-func (c *Ctx) NextDelivery() []Incoming {
-	return c.park(wakeOnDelivery)
 }
 
 // park records the round the node wants back and yields to the
@@ -647,9 +627,8 @@ type shardSched struct {
 	awake []*Ctx         // to resume in the current round
 	next  []*Ctx         // parked in Next: due in the following round
 	cal   map[int][]*Ctx // parked in SkipUntil, by wake round
-	woken []*Ctx         // NextDelivery waiters this round's delivery reached
 	live  int            // unfinished nodes
-	_     [5]uint64
+	_     [8]uint64
 }
 
 // shardWork is one shard's delivery worklist: the receivers (domain
@@ -680,7 +659,7 @@ func (r *runner) fail(err error) { r.sh.fail(err) }
 // advance to the next round in which some node runs. Between two rounds
 // every node is parked, so the domain goroutine owns all scheduling,
 // delivery and checkpoint state without locks. However the domain ends
-// — completion, abort, deadlock — every unfinished coroutine is stopped,
+// — completion or abort — every unfinished coroutine is stopped,
 // so its program's defers run and no node goroutine outlives the run.
 func (r *runner) run() {
 	defer r.stopAll()
@@ -714,8 +693,7 @@ func (r *runner) resumeAwake() {
 }
 
 // resumeShard resumes shard s's awake nodes in turn and files each by
-// the round it parked for (a NextDelivery waiter is filed by the
-// delivery that reaches it).
+// the round it parked for.
 func (r *runner) resumeShard(s int) {
 	sc := &r.sched[s]
 	for _, c := range sc.awake {
@@ -723,11 +701,9 @@ func (r *runner) resumeShard(s int) {
 			sc.live--
 			continue
 		}
-		switch c.wake {
-		case r.round + 1:
+		if c.wake == r.round+1 {
 			sc.next = append(sc.next, c)
-		case wakeOnDelivery:
-		default:
+		} else {
 			sc.cal[c.wake] = append(sc.cal[c.wake], c)
 		}
 	}
@@ -739,7 +715,7 @@ func (r *runner) resumeShard(s int) {
 // round before the earliest SkipUntil wake; every round entered is
 // counted against MaxRounds and delivers whatever is queued, including
 // rounds nobody wakes in. The round it stops in gets a staged cut. It
-// returns false when the domain is finished, deadlocked or aborted.
+// returns false when the domain is finished or aborted.
 func (r *runner) advance() bool {
 	for {
 		live, due := 0, false
@@ -752,16 +728,9 @@ func (r *runner) advance() bool {
 			return false
 		}
 		if !due && !r.anyQueued() {
-			wake := r.earliestWake()
-			if wake == 0 {
-				// Only message-waiters remain and nothing is in flight: no
-				// message can ever materialize.
-				r.fail(fmt.Errorf("%s: every node is waiting for a message and none are queued (protocol deadlock)", model))
-				return false
-			}
-			// Nothing can happen until a skipper wakes: count the rounds
+			// Nothing can happen until a sleeper wakes: count the rounds
 			// up to its wake round instead of ticking them one by one.
-			if !r.advanceRounds(wake - 1 - r.round) {
+			if !r.advanceRounds(r.earliestWake() - 1 - r.round) {
 				return false
 			}
 		}
@@ -779,8 +748,6 @@ func (r *runner) advance() bool {
 				sc.awake = append(sc.awake, sleepers...)
 				delete(sc.cal, r.round)
 			}
-			sc.awake = append(sc.awake, sc.woken...)
-			sc.woken = sc.woken[:0]
 			awake += len(sc.awake)
 		}
 		// A round nobody runs in gets no staged cut: no node executes in
@@ -794,8 +761,9 @@ func (r *runner) advance() bool {
 	}
 }
 
-// earliestWake returns the earliest SkipUntil wake round of the domain,
-// or 0 when no node sleeps in SkipUntil.
+// earliestWake returns the earliest SkipUntil wake round of the domain.
+// advance asks only when live nodes remain and none is due next round,
+// so every live node sleeps in SkipUntil, at least two rounds ahead.
 func (r *runner) earliestWake() int {
 	wake := 0
 	for i := range r.sched {
@@ -859,8 +827,7 @@ func (r *runner) deliver() {
 // pending-bitmap walk) — the exact delivery order of the sequential
 // engine, so results do not depend on the worker count or on the
 // worklist's sender-arrival order. Receivers with remaining backlog stay
-// on the worklist for the next round, and NextDelivery waiters handed a
-// message are filed for resumption. A sender's outbox slot and sentNow
+// on the worklist for the next round. A sender's outbox slot and sentNow
 // flag for an edge are touched only by the worker owning the receiving
 // endpoint, so delivery needs no locks.
 //
@@ -868,13 +835,11 @@ func (r *runner) deliver() {
 func (r *runner) deliverWork(wid int) {
 	ws := &r.wstats[wid]
 	sw := &r.work[wid]
-	sched := &r.sched[wid]
 	list := sw.list[:sw.count.Load()]
 	carried := int32(0)
 	for _, idx := range list {
 		c := r.ctxs[r.nodes[idx]]
 		backlog := false
-		delivered := false
 		buf := c.inbox
 		for wi := range c.pending {
 			word := c.pending[wi].Load()
@@ -898,7 +863,6 @@ func (r *runner) deliverWork(wid int) {
 				}
 				sc.sentNow[slot] = false
 				buf = append(buf, Incoming{From: int(w), Payload: msg}) //sbw:allocok amortized: each node's one inbox is recycled across rounds; steady-state capacity never grows
-				delivered = true
 				ws.Note(len(msg))
 			}
 			c.pending[wi].Store(keep)
@@ -911,10 +875,6 @@ func (r *runner) deliverWork(wid int) {
 			carried++
 		} else {
 			r.rdirty[idx].Store(false)
-		}
-		if delivered && c.wake == wakeOnDelivery {
-			c.wake = r.round
-			sched.woken = append(sched.woken, c) //sbw:allocok amortized: the per-shard woken list is reset, not reallocated, each round
 		}
 	}
 	sw.count.Store(carried)
@@ -954,7 +914,7 @@ type DomainStats struct {
 //
 // Each program runs as a coroutine that its domain's goroutine resumes
 // round by round, so a program may wait on another node's progress only
-// through the round calls (Next, SkipUntil, NextDelivery); see Ctx.
+// through the round calls (Next, SkipUntil); see Ctx.
 func RunWithDomains(top Topology, cfg Config, program func(ctx *Ctx)) (*Stats, []DomainStats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workers < 0 || cfg.Workers > MaxWorkers {

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -76,48 +75,6 @@ func TestSkipUntilReturnsDeliveriesInOrder(t *testing.T) {
 		if v != uint64(i) {
 			t.Fatalf("message %d out of order: %d", i, v)
 		}
-	}
-}
-
-// TestNextDeliveryWakesOnArrival: a NextDelivery sleeper observes a
-// message in exactly the round a Next loop would have.
-func TestNextDeliveryWakesOnArrival(t *testing.T) {
-	g := graph.Path(2)
-	var wakeRound int
-	_, err := engine.Run(g, engine.Config{}, func(ctx *engine.Ctx) {
-		if ctx.ID() == 0 {
-			if in := ctx.SkipUntil(10); len(in) != 0 {
-				panic("node 0 received unexpectedly")
-			}
-			ctx.Send(1, engine.Message{7})
-			ctx.Next()
-			return
-		}
-		in := ctx.NextDelivery()
-		if len(in) != 1 || in[0].Payload[0] != 7 {
-			panic("node 1 woke without its message")
-		}
-		wakeRound = ctx.Round()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0 sends in round 10; delivery lands in round 11.
-	if wakeRound != 11 {
-		t.Fatalf("waiter woke in round %d, want 11", wakeRound)
-	}
-}
-
-// TestNextDeliveryDeadlockDetected: when every node of a domain waits
-// for a message and nothing is queued, the engine reports a protocol
-// deadlock instead of hanging.
-func TestNextDeliveryDeadlockDetected(t *testing.T) {
-	g := graph.Path(3)
-	_, err := engine.Run(g, engine.Config{}, func(ctx *engine.Ctx) {
-		ctx.NextDelivery() // nobody ever sends
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("expected a deadlock error, got %v", err)
 	}
 }
 

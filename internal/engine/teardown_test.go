@@ -11,10 +11,9 @@ import (
 )
 
 // TestRunsLeaveNoGoroutines: every way a run can end — completion, a
-// node panic while the other nodes sleep in SkipUntil and NextDelivery,
-// the MaxRounds abort, and a NextDelivery deadlock — unwinds every node
-// program and stops every worker, so no goroutine of the run outlives
-// it.
+// node panic while the other nodes sleep in SkipUntil, and the MaxRounds
+// abort — unwinds every node program and stops every worker, so no
+// goroutine of the run outlives it.
 func TestRunsLeaveNoGoroutines(t *testing.T) {
 	engine.SetForceShards(3)
 	defer engine.SetForceShards(0)
@@ -43,7 +42,7 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 			case ctx.ID()%2 == 0:
 				ctx.SkipUntil(1000)
 			default:
-				ctx.NextDelivery()
+				ctx.SkipUntil(2000)
 			}
 		}, "panicked"},
 		{"maxrounds", engine.Config{MaxRounds: 50}, func(ctx *engine.Ctx) {
@@ -51,9 +50,6 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 				ctx.Next()
 			}
 		}, "MaxRounds"},
-		{"deadlock", engine.Config{}, func(ctx *engine.Ctx) {
-			ctx.NextDelivery()
-		}, "deadlock"},
 	} {
 		before := runtime.NumGoroutine()
 		_, err := engine.Run(g, tc.cfg, tc.program)

@@ -11,7 +11,8 @@ import "math/bits"
 //     seed bit folded so far);
 //   - rhs is the branch-0 right-hand-side plane: bit l is lane l's
 //     residual constant, Const_l ⊕ ⟨folded bits of mask_l, their chosen
-//     values⟩ — exactly the bit-0 byte loReduce computes;
+//     values⟩ — exactly branch 0's right-hand side of the form's
+//     residual against a basis with those bits fixed;
 //   - bitp[b] is the transposed residual plane of seed bit b: bit l is
 //     set iff lane l's residual mask still contains b. Sealing a sheet
 //     builds the planes with one 64×64 bit-matrix transpose.
@@ -26,7 +27,7 @@ import "math/bits"
 //
 // A sheet represents residuals against the *fixed bits* of a basis,
 // which is all a Split result holds, so a sheet folded in step with the
-// split basis gathers exactly the residuals loReduce derives. Sheets
+// split basis gathers exactly the residuals the basis derives. Sheets
 // hold whatever form groups the caller lays out — the phase hub packs
 // each node's coin once, ⌊64/b⌋ coins to a sheet.
 type FormSheet struct {
@@ -71,8 +72,8 @@ func (s *FormSheet) Seal() {
 // Fix folds the choice "seed bit j = val" into every residual of the
 // sheet: one masked-XOR pass over the right-hand-side plane, and the
 // lanes still containing bit j drop it. After the fold the sheet's
-// residuals are exactly what loReduce would derive against a basis
-// with the same bits fixed to the same values.
+// residuals are exactly the forms' residuals against a basis with the
+// same bits fixed to the same values.
 //
 //sbw:allocfree phase-step kernel: per-seed-bit incremental plane fold
 func (s *FormSheet) Fix(j int, val bool) {
@@ -122,9 +123,8 @@ type ProbPair struct {
 // gatherResid reads b residuals starting at lane from the sheet, under
 // this SplitBasis's split bit: the mask is the lane minus the split
 // bit, branch 0's right-hand side is the lane's rhs-plane bit, and
-// branch 1 differs by the lane's split-plane bit — the same bytes
-// loReduce packs. The sheet must have folded exactly this basis's
-// fixed bits.
+// branch 1 differs by the lane's split-plane bit, packed as in loResid.
+// The sheet must have folded exactly this basis's fixed bits.
 //
 //sbw:allocfree phase-step kernel: residual gather feeding the block walks
 func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loResid) {
@@ -139,12 +139,13 @@ func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loResid) 
 	}
 }
 
-// ProbOnePairBlock is ProbOnePair over a block of coins laid out on a
-// sheet: out[k] receives both branch marginals of reqs[k]. The phase
-// hub uses it for each read node's own-coin entry in its per-bit
-// marginal table. Requires a low-word split (split bit < 64) and a
-// sheet folded in step with this basis; each result is bit-identical
-// to ProbOnePair on the coin.
+// ProbOnePairBlock returns Pr[C = 1] under branch 0 and branch 1 for a
+// block of coins laid out on a sheet: out[k] receives both branch
+// marginals of reqs[k]. The phase hub uses it for each read node's
+// own-coin entry in its per-bit marginal table. Requires a low-word
+// split (split bit < 64) and a sheet folded in step with this basis;
+// each result is bit-identical to Coin.ProbOne under the basis with the
+// split bit fixed each way.
 //
 //sbw:allocfree phase-step kernel: a sheeted node's own-coin marginal, once per seed bit
 func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out []ProbPair) {

@@ -15,7 +15,6 @@ type Coin struct {
 	forms []Form // MSB-first affine forms of h_S(x) mod 2^b
 	t     uint64 // threshold in [0, 2^b]
 	b     int
-	lo    bool // every form mask fits the low word (checked at build)
 }
 
 // NewCoin builds the coin for input color x with probability num/den and
@@ -37,7 +36,7 @@ func NewCoinFromForms(forms []Form, num, den uint64) (Coin, error) {
 	}
 	// T = ⌈num·2^b/den⌉ = |{k ∈ [2^b] : k/2^b < num/den}|.
 	t := (num<<b + den - 1) / den
-	return Coin{forms: forms, t: t, b: b, lo: formsLo(forms)}, nil
+	return Coin{forms: forms, t: t, b: b}, nil
 }
 
 // coinError is NewCoinFromForms's error for arguments it refuses. It is

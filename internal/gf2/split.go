@@ -41,7 +41,7 @@ type SplitBasis struct {
 	fuRows [64]splitRow
 	inner  [64]splitRow
 
-	// Single-word walk scratch for the block kernels and ProbOnePair:
+	// Single-word walk scratch for the block kernels:
 	// resLoU and fuLo hold the owner coin's residuals and prefix rows
 	// while WalkOwner records its steps into owner, and resLo holds the
 	// residuals an inner walk reads (a neighbor's, updated by Joint's
@@ -390,7 +390,7 @@ func innerPairWalk(rows *[64]splitRow, res []residPair, t uint64, atom *splitRow
 // walk of the joint query (updated incrementally as the outer walk adds
 // prefix rows), and all walk rows live on the stack. Every output is
 // bit-identical to the corresponding single-query evaluations
-// (ProbOnePair, and ProbBothLessMarginal on a conditioned Basis). The
+// (ProbLess and ProbBothLessMarginal on a conditioned Basis). The
 // walk runs on two-word masks: its phase-loop caller is the scalar tier
 // for seeds longer than 64 bits, which no sheet can carry.
 //
@@ -499,38 +499,6 @@ func (sb *SplitBasis) EdgePair(c1, c2 Coin) (p1u0, p1v0, p110, p1u1, p1v1, p111 
 	return p1u0, p1v0, p110, p1u1, p1v1, p111
 }
 
-// formsLo reports whether every form's mask fits the low word.
-func formsLo(fs []Form) bool {
-	for i := range fs {
-		if fs[i].Mask.Hi != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// loReduce is the single-word residual of a form against the
-// conditioned basis: mask must fit the low word, and the basis must be
-// a Split result, whose constraints are all fixed bits. The returned
-// byte packs the branch right-hand sides of "form = false" (bit 0 =
-// branch 0, bit 1 = branch 1).
-func (sb *SplitBasis) loReduce(mask uint64, c bool) (uint64, uint8) {
-	var rhs uint8
-	if c {
-		rhs = 3
-	}
-	if f := mask & sb.fixedMask.Lo; f != 0 {
-		if bits.OnesCount64(f&sb.fixedVals.Lo)&1 == 1 {
-			rhs ^= 3
-		}
-		if f&sb.split.Lo != 0 {
-			rhs ^= 2
-		}
-		mask &^= sb.fixedMask.Lo
-	}
-	return mask, rhs
-}
-
 // loInnerWalk is innerPairWalk on the compact single-word rows: alive
 // packs the branch liveness the same way the rhs bytes pack the
 // right-hand sides. atom, when hasAtom, is one fully reduced constraint
@@ -602,30 +570,6 @@ func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs u
 func (sb *SplitBasis) probLessPairClone(forms []Form, t uint64) (float64, float64) {
 	w := splitFromPool(sb)
 	p0, p1 := probLessPairInPlace(w, forms, t, true, true)
-	w.Release()
-	return p0, p1
-}
-
-// ProbOnePair returns Pr[C = 1] under branch 0 and branch 1.
-//
-//sbw:allocfree phase-step kernel: the own-coin marginal of a sheetless node, once per seed bit
-func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
-	if c.t == 0 {
-		return 0, 0
-	}
-	if c.t >= uint64(1)<<c.b {
-		return 1, 1
-	}
-	if c.lo {
-		res := sb.resLo[:c.b]
-		for i, fo := range c.forms {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			res[i] = loResid{mask: m, rhs: rhs}
-		}
-		return loInnerWalk(&sb.innerLo, res, c.t, 0, 0, false, 3)
-	}
-	w := splitFromPool(sb)
-	p0, p1 = probLessPairInPlace(w, c.forms, c.t, true, true)
 	w.Release()
 	return p0, p1
 }
